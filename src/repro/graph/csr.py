@@ -124,8 +124,7 @@ class CSRGraph:
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
         return cls(indptr=indptr, indices=dst)
 
     def to_edges(self) -> tuple:

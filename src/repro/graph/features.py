@@ -21,6 +21,9 @@ import numpy as np
 
 from repro.utils.rng import ensure_rng
 
+# uint64 elements per hash block: two 2 MB buffers stay cache-resident.
+_HASH_BLOCK_ELEMS = 1 << 18
+
 
 class FeatureStore(ABC):
     """Read-only node-feature table addressed by global node ID."""
@@ -78,20 +81,33 @@ class HashFeatureStore(FeatureStore):
 
     def gather(self, ids: np.ndarray) -> np.ndarray:
         ids = self._check_ids(ids)
-        out = np.empty((len(ids), self.dim), dtype=self.dtype)
-        # A cheap splitmix-style hash expanded across dimensions.
-        base = (ids.astype(np.uint64) + np.uint64(self.seed)) * np.uint64(
-            0x9E3779B97F4A7C15
-        )
+        # A cheap splitmix-style hash expanded across dimensions, run over
+        # blocks of rows through two reused uint64 buffers. The top 24 bits
+        # are exact in float32, so the scaling is exact there too; casting
+        # the finished rows (not the raw integers) keeps float16 finite.
+        out = np.empty((len(ids), self.dim), dtype=np.float32)
         dims = np.arange(self.dim, dtype=np.uint64) * np.uint64(
             0xBF58476D1CE4E5B9
         )
-        mixed = base[:, None] ^ dims[None, :]
-        mixed ^= mixed >> np.uint64(31)
-        mixed *= np.uint64(0x94D049BB133111EB)
-        mixed ^= mixed >> np.uint64(29)
-        out[:] = (mixed >> np.uint64(40)).astype(np.float64) / 2**24 - 0.5
-        return out
+        block = max(1, _HASH_BLOCK_ELEMS // self.dim)
+        mixed = np.empty((min(block, len(ids)), self.dim), dtype=np.uint64)
+        scratch = np.empty_like(mixed)
+        for start in range(0, len(ids), block):
+            rows = ids[start:start + block]
+            m, tmp = mixed[:len(rows)], scratch[:len(rows)]
+            base = (rows.astype(np.uint64) + np.uint64(self.seed)) * np.uint64(
+                0x9E3779B97F4A7C15
+            )
+            np.bitwise_xor(base[:, None], dims[None, :], out=m)
+            m ^= np.right_shift(m, np.uint64(31), out=tmp)
+            m *= np.uint64(0x94D049BB133111EB)
+            m ^= np.right_shift(m, np.uint64(29), out=tmp)
+            m >>= np.uint64(40)
+            o = out[start:start + len(rows)]
+            o[:] = m
+            o *= np.float32(2**-24)
+            o -= np.float32(0.5)
+        return out.astype(self.dtype, copy=False)
 
 
 class MaterializedFeatureStore(FeatureStore):
@@ -139,7 +155,9 @@ class PlantedFeatureStore(FeatureStore):
 
     def gather(self, ids: np.ndarray) -> np.ndarray:
         ids = self._check_ids(ids)
-        noise = self._noise_store.gather(ids) * (self.noise * 3.46)
+        rows = self._noise_store.gather(ids)
         # HashFeatureStore rows are ~U(-0.5, 0.5): std ~0.289, so the 3.46
         # factor makes the noise term ~unit-variance before scaling.
-        return self.centroids[self.labels[ids]] + noise
+        rows *= self.noise * 3.46
+        rows += self.centroids[self.labels[ids]]
+        return rows

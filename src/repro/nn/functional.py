@@ -9,6 +9,17 @@ as ``A3.forward()`` / ``A3.backward()``:
 
 Edge-wise softmax (GAT attention), segment sums, activations and the loss
 round out what the three evaluation models need.
+
+Every scatter (``out[index[i]] = op(out[index[i]], values[i])``) goes
+through one kernel, :func:`_scatter`. It gathers each touched row once into
+a contiguous partial-sum buffer, folds the values in by rounds (round ``r``
+holds every row's ``r``-th occurrence, in index order, so no row repeats
+within a round and each round is one vectorized in-place ``op`` on a
+prefix of the buffer), and writes the buffer back once. This is the host
+analogue of the Memory-Aware kernel's per-target partial sums ``ĥ_u``
+(Sec. 4.2). Each row still folds its values in index order, starting from
+its initial value, so the result is bytewise the one ``np.add.at`` /
+``np.maximum.at`` gives, without their per-element dispatch.
 """
 
 from __future__ import annotations
@@ -19,6 +30,52 @@ from repro.nn.tensor import Tensor
 from repro.utils.rng import ensure_rng
 
 
+def _rounds(index: np.ndarray, num_rows: int) -> tuple:
+    """Split the positions of ``index`` into rounds of distinct rows.
+
+    Returns ``(rows, rounds)``. ``rows`` are the distinct rows of
+    ``index``, most-occurring first. ``rounds[r]`` lists, for each of the
+    first ``len(rounds[r])`` rows, the position of its ``r``-th occurrence
+    (rows with more than ``r`` occurrences are a prefix of ``rows``).
+    Raises ``IndexError`` for an index outside ``[0, num_rows)``.
+    """
+    if len(index) and (index.min() < 0 or index.max() >= num_rows):
+        raise IndexError("scatter index out of range")
+    order = np.argsort(index, kind="stable")
+    counts = np.bincount(index, minlength=num_rows)
+    starts = np.cumsum(counts) - counts
+    rows = np.flatnonzero(counts)
+    rows = rows[np.argsort(-counts[rows], kind="stable")]
+    first = starts[rows]
+    widths = np.searchsorted(-counts[rows], -np.arange(counts.max(initial=0)))
+    return rows, [order[first[:k] + r] for r, k in enumerate(widths)]
+
+
+def _scatter(ufunc, out: np.ndarray, index: np.ndarray, values) -> np.ndarray:
+    """``out[index[i]] = ufunc(out[index[i]], values[i])`` for every ``i``,
+    in index order, one vectorized step per round.
+
+    ``values`` is an array indexed by position, or a callable that builds
+    the values of the positions it is given, so the caller never
+    materializes the full array.
+    """
+    rows, rounds = _rounds(index, len(out))
+    take = values if callable(values) else values.__getitem__
+    acc = out[rows]
+    for positions in rounds:
+        part = acc[:len(positions)]
+        ufunc(part, take(positions), out=part)
+    out[rows] = acc
+    return out
+
+
+def _weighted_rows(x: np.ndarray, rows: np.ndarray, w: np.ndarray):
+    """``x[rows] * w[:, None]``, scaled in the gathered buffer."""
+    out = np.take(x, rows, axis=0)
+    out *= w[:, None]
+    return out
+
+
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """Row gather ``x[index]`` with scatter-add backward."""
     index = np.asarray(index, dtype=np.int64)
@@ -26,7 +83,7 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     def backward(grad):
         if x.requires_grad:
             full = np.zeros_like(x.data)
-            np.add.at(full, index, grad)
+            _scatter(np.add, full, index, grad)
             x._accumulate(full)
 
     return Tensor._from_op(x.data[index], (x,), backward)
@@ -36,7 +93,7 @@ def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     """Sum rows of ``x`` into ``num_segments`` buckets by ``segment_ids``."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     out = np.zeros((num_segments,) + x.data.shape[1:], dtype=np.float32)
-    np.add.at(out, segment_ids, x.data)
+    _scatter(np.add, out, segment_ids, x.data)
 
     def backward(grad):
         if x.requires_grad:
@@ -70,18 +127,20 @@ def a3_aggregate(
     edge_dst = np.asarray(edge_dst, dtype=np.int64)
     if len(edge_src) != len(edge_dst) or len(edge_src) != len(weight.data):
         raise ValueError("edge arrays and weights must share length")
-    messages = x_src.data[edge_src] * weight.data[:, None]
     out = np.zeros((num_dst, x_src.data.shape[1]), dtype=np.float32)
-    np.add.at(out, edge_dst, messages)
+    # Messages w_uv * x_v are built one round at a time, never all E x d.
+    _scatter(np.add, out, edge_dst,
+             lambda e: _weighted_rows(x_src.data, edge_src[e], weight.data[e]))
 
     def backward(grad):
-        grad_edges = grad[edge_dst]
         if x_src.requires_grad:
             gx = np.zeros_like(x_src.data)
-            np.add.at(gx, edge_src, grad_edges * weight.data[:, None])
+            _scatter(np.add, gx, edge_src,
+                     lambda e: _weighted_rows(grad, edge_dst[e],
+                                              weight.data[e]))
             x_src._accumulate(gx)
         if weight.requires_grad:
-            gw = (grad_edges * x_src.data[edge_src]).sum(axis=1)
+            gw = (grad[edge_dst] * x_src.data[edge_src]).sum(axis=1)
             weight._accumulate(gw)
 
     return Tensor._from_op(out, (x_src, weight), backward)
@@ -95,12 +154,12 @@ def edge_softmax(scores: Tensor, edge_dst: np.ndarray, num_dst: int) -> Tensor:
     """
     edge_dst = np.asarray(edge_dst, dtype=np.int64)
     maxima = np.full(num_dst, -np.inf, dtype=np.float32)
-    np.maximum.at(maxima, edge_dst, scores.data)
+    _scatter(np.maximum, maxima, edge_dst, scores.data)
     maxima[~np.isfinite(maxima)] = 0.0  # targets with no edges
     shifted = scores.data - maxima[edge_dst]
     exp = np.exp(shifted)
     denom = np.zeros(num_dst, dtype=np.float32)
-    np.add.at(denom, edge_dst, exp)
+    _scatter(np.add, denom, edge_dst, exp)
     denom[denom == 0.0] = 1.0
     alpha = exp / denom[edge_dst]
 
@@ -110,7 +169,7 @@ def edge_softmax(scores: Tensor, edge_dst: np.ndarray, num_dst: int) -> Tensor:
         # d softmax: alpha * (grad - sum_over_segment(grad * alpha))
         weighted = grad * alpha
         seg = np.zeros(num_dst, dtype=np.float32)
-        np.add.at(seg, edge_dst, weighted)
+        _scatter(np.add, seg, edge_dst, weighted)
         scores._accumulate(weighted - alpha * seg[edge_dst])
 
     return Tensor._from_op(alpha, (scores,), backward)

@@ -48,9 +48,7 @@ class LayerBlock:
 
     def in_degrees(self) -> np.ndarray:
         """Sampled in-degree of every target node (|N(u)| in Eq. 1)."""
-        deg = np.zeros(self.num_dst, dtype=np.int64)
-        np.add.at(deg, self.edge_dst, 1)
-        return deg
+        return np.bincount(self.edge_dst, minlength=self.num_dst)
 
     def validate(self) -> None:
         """Structural invariants; raises AssertionError on violation."""

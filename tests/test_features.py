@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.graph.features as features_mod
 from repro.graph.features import (
     HashFeatureStore,
     MaterializedFeatureStore,
@@ -44,6 +45,46 @@ class TestHashFeatureStore:
         a = HashFeatureStore(10, 4, seed=0).gather(np.arange(10))
         b = HashFeatureStore(10, 4, seed=1).gather(np.arange(10))
         assert not np.allclose(a, b)
+
+
+def splitmix_row(node: int, seed: int, dim: int) -> list:
+    """The hash store's closed form, one value at a time in Python ints:
+    ``z = (node + seed) * C1 ^ j * C2``, then ``z ^= z >> 31``,
+    ``z *= C3``, ``z ^= z >> 29`` (all mod 2**64), and the top 24 bits
+    scaled to ``[-0.5, 0.5)``."""
+    mask = (1 << 64) - 1
+    base = ((node + seed) * 0x9E3779B97F4A7C15) & mask
+    row = []
+    for j in range(dim):
+        z = base ^ ((j * 0xBF58476D1CE4E5B9) & mask)
+        z ^= z >> 31
+        z = (z * 0x94D049BB133111EB) & mask
+        z ^= z >> 29
+        row.append((z >> 40) / 2**24 - 0.5)
+    return row
+
+
+class TestHashValuesPinned:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("block_elems", [None, 16])
+    def test_gather_matches_closed_form(self, dtype, block_elems,
+                                        monkeypatch):
+        if block_elems is not None:
+            # Blocks of 3 rows: several full blocks and a partial last one.
+            monkeypatch.setattr(features_mod, "_HASH_BLOCK_ELEMS",
+                                block_elems)
+        store = HashFeatureStore(10**6, 5, seed=11, dtype=dtype)
+        ids = np.array([0, 1, 7, 999_999, 7, 123_456, 42, 3, 500_000, 8, 65])
+        expected = np.array([splitmix_row(int(i), 11, 5) for i in ids])
+        got = store.gather(ids)
+        assert got.dtype == dtype
+        assert np.isfinite(got).all()
+        assert got.tobytes() == expected.astype(dtype).tobytes()
+
+    def test_empty_gather(self):
+        store = HashFeatureStore(10, 4, dtype=np.float16)
+        got = store.gather(np.array([], dtype=np.int64))
+        assert got.shape == (0, 4) and got.dtype == np.float16
 
 
 class TestMaterializedFeatureStore:
