@@ -7,7 +7,8 @@ exists — the reference time and speedup. Wall-clock numbers vary by
 machine; the work counters are seeded and bit-stable, which is what the
 baseline gate pins (see :mod:`repro.bench.__main__`).
 
-The eight kernels cover the per-batch hot path end to end:
+The nine kernels cover the per-batch hot path end to end, plus the
+cluster tier's one-off partitioning:
 
 * ``match_degree_matrix`` — the Reorder strategy's pairwise overlap
   product (vs the legacy O(n^2) ``np.intersect1d`` loop);
@@ -23,7 +24,9 @@ The eight kernels cover the per-batch hot path end to end:
 * ``neighbor_sampling`` — k-hop uniform sampling with the fused ID map;
 * ``feature_gather`` — the memory-IO phase's host-side feature copy;
 * ``halo_gather`` — the cluster tier's owner-grouping of a sampled
-  frontier plus the per-peer feature-row gather (:mod:`repro.cluster`).
+  frontier plus the per-peer feature-row gather (:mod:`repro.cluster`);
+* ``greedy_partition`` — the streaming edge-cut partitioner the cluster
+  runs before every epoch, on a planted-community graph.
 """
 
 from __future__ import annotations
@@ -91,6 +94,10 @@ SIZES = {
                   "rows": 20_000, "batches": 8},
         "large": {"num_nodes": 400_000, "dim": 128, "parts": 16,
                   "rows": 100_000, "batches": 8},
+    },
+    "greedy_partition": {
+        "small": {"num_nodes": 20_000, "avg_degree": 10.0, "parts": 4},
+        "medium": {"num_nodes": 200_000, "avg_degree": 15.0, "parts": 8},
     },
 }
 
@@ -425,6 +432,30 @@ def bench_halo_gather(size: str, repeats: int, seed: int) -> dict:
     return _record("halo_gather", size, params, times, work)
 
 
+def bench_greedy_partition(size: str, repeats: int, seed: int) -> dict:
+    """The greedy edge-cut partitioner on a planted-community graph with
+    one community per partition. The assignment checksum and the edge
+    cut pin its output exactly."""
+    from repro.cluster.partitioner import greedy_partition
+    from repro.graph.generators import community_graph
+    from repro.graph.partition import partition_stats
+
+    params = SIZES["greedy_partition"][size]
+    graph, _ = community_graph(params["num_nodes"], params["avg_degree"],
+                               num_communities=params["parts"], rng=seed)
+    times = _time(lambda: greedy_partition(graph, params["parts"]), repeats)
+    assignment = greedy_partition(graph, params["parts"])
+    work = {
+        "nodes": graph.num_nodes,
+        "edges": graph.num_edges,
+        "assignment_checksum": int(
+            np.dot(np.arange(graph.num_nodes), assignment)),
+        "edge_cut": partition_stats(graph, assignment,
+                                    params["parts"]).edge_cut,
+    }
+    return _record("greedy_partition", size, params, times, work)
+
+
 #: Kernel name -> callable(size, repeats, seed) in report order.
 KERNELS = {
     "match_degree_matrix": bench_match_degree_matrix,
@@ -435,4 +466,5 @@ KERNELS = {
     "neighbor_sampling": bench_neighbor_sampling,
     "feature_gather": bench_feature_gather,
     "halo_gather": bench_halo_gather,
+    "greedy_partition": bench_greedy_partition,
 }

@@ -18,11 +18,12 @@ before the forward pass can start. This module models that exchange:
   lands in the exchange time) or, past the budget, escalates to
   :class:`~repro.errors.NetworkStallError`.
 
-Everything is deterministic: row order inside the cache walk is the
-sorted unique ID order, fault keys are an explicit per-exchange
-sequence, and the traffic matrix double-entry (bytes sent == bytes
-received == fetched rows x row bytes) is pinned by the conservation
-tests.
+Everything is deterministic: the cache walk (one batched
+:meth:`~repro.storage.cache.PageCache.access_many` call) visits the
+unique rows by owner, ascending ID within an owner; fault keys are an
+explicit per-exchange sequence; and the traffic matrix double-entry
+(bytes sent == bytes received == fetched rows x row bytes) is pinned by
+the conservation tests.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.errors import NetworkStallError
 from repro.faults.retry import RetryPolicy, call_with_faults
 from repro.obs import get_registry
 from repro.storage.cache import (
-    MISS,
     FrequencyPageCache,
     LRUPageCache,
     PartitionAwarePageCache,
@@ -183,27 +183,25 @@ class HaloExchange:
         report = HaloReport(node=node)
         if self.num_nodes <= 1:
             return report
-        ids = np.unique(np.asarray(input_nodes, dtype=np.int64))
-        remote = ids[self.assignment[ids] != node]
+        ids = np.asarray(input_nodes, dtype=np.int64)
+        remote = np.unique(ids[self.assignment[ids] != node])
         report.requested_rows = int(remote.size)
         if remote.size == 0:
             return report
         sorted_ids, _counts = group_by_owner(remote, self.assignment,
                                              self.num_nodes)
         cache = self._caches[node]
-        misses_by_peer: dict = {}
-        for node_id in sorted_ids.tolist():
-            if cache is not None and cache.lookup(node_id) is not MISS:
-                report.cache_hits += 1
-                continue
-            owner = int(self.assignment[node_id])
-            misses_by_peer[owner] = misses_by_peer.get(owner, 0) + 1
-            if cache is not None:
-                cache.insert(node_id, _RESIDENT)
+        if cache is None:
+            hit = np.zeros(sorted_ids.size, dtype=bool)
+        else:
+            hit = cache.access_many(sorted_ids, _RESIDENT)
+        misses_by_peer = np.bincount(self.assignment[sorted_ids[~hit]],
+                                     minlength=self.num_nodes)
+        report.cache_hits = int(np.count_nonzero(hit))
         report.fetched_rows = report.requested_rows - report.cache_hits
         report.bytes_by_peer = {
             peer: rows * self.bytes_per_row
-            for peer, rows in sorted(misses_by_peer.items())
+            for peer, rows in enumerate(misses_by_peer.tolist()) if rows
         }
         for peer, num_bytes in report.bytes_by_peer.items():
             self.traffic[peer, node] += num_bytes

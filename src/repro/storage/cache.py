@@ -106,6 +106,19 @@ class PageCache:
         used when a stats-only placeholder is later materialized."""
         raise NotImplementedError
 
+    def access_many(self, ids, frame) -> np.ndarray:
+        """Walk ``ids`` in order: look each one up and admit it with
+        ``frame`` on a miss. Returns the boolean hit mask; counters and
+        the resident set end exactly as the equivalent
+        ``lookup``/``insert`` loop leaves them."""
+        hit = np.zeros(len(ids), dtype=bool)
+        for i, page_id in enumerate(np.asarray(ids).tolist()):
+            if self.lookup(page_id) is MISS:
+                self.insert(page_id, frame)
+            else:
+                hit[i] = True
+        return hit
+
 
 class LRUPageCache(PageCache):
     """Recency-only page cache (the OS-page-cache baseline)."""
@@ -274,6 +287,60 @@ class FrequencyPageCache(PageCache):
     def update(self, page_id: int, frame) -> None:
         if page_id in self._frames:
             self._frames[page_id] = frame
+
+    def access_many(self, ids, frame) -> np.ndarray:
+        """The base lookup-then-insert walk with :meth:`lookup`,
+        :meth:`insert` and :meth:`_pop_coldest` inlined over local
+        bindings: the same counts, admission rule and lazy heap.
+
+        Two shortcuts leave every decision unchanged. A newcomer whose
+        count does not beat the heap top is refused without touching the
+        heap: heap entries never overstate a resident page's count, so
+        the top is a lower bound on the coldest resident count. And the
+        heap is read by peeking and ``heapreplace`` rather than pop and
+        push; victims depend only on the (count, id) minimum, never on
+        the heap's internal order.
+        """
+        counts = self._counts
+        frames = self._frames
+        heap = self._heap
+        capacity = self.capacity_pages
+        hit = bytearray(len(ids))
+        evictions = 0
+        for i, page_id in enumerate(np.asarray(ids).tolist()):
+            count = counts.get(page_id, 0) + 1
+            counts[page_id] = count
+            if page_id in frames:
+                hit[i] = 1
+                continue
+            if capacity == 0:
+                continue
+            if len(frames) < capacity:
+                frames[page_id] = frame
+                heapq.heappush(heap, (count, page_id))
+                continue
+            if count <= heap[0][0]:
+                continue
+            while True:
+                victim_count, victim = heap[0]
+                if victim not in frames:
+                    heapq.heappop(heap)
+                    continue
+                current = counts.get(victim, 0)
+                if current == victim_count:
+                    break
+                heapq.heapreplace(heap, (current, victim))
+            if count > victim_count:
+                del frames[victim]
+                evictions += 1
+                frames[page_id] = frame
+                heapq.heapreplace(heap, (count, page_id))
+        mask = np.frombuffer(hit, dtype=bool)
+        num_hits = int(np.count_nonzero(mask))
+        self.hits += num_hits
+        self.misses += len(mask) - num_hits
+        self.evictions += evictions
+        return mask
 
 
 def partition_page_hotness(

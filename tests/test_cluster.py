@@ -12,7 +12,12 @@ from repro.errors import ConfigError, NetworkStallError
 from repro.faults import FaultPlan, FaultSpec, fault_scope
 from repro.faults.retry import RetryPolicy
 from repro.graph.datasets import Dataset
-from repro.storage.cache import MISS, FrequencyPageCache
+from repro.storage.cache import (
+    MISS,
+    FrequencyPageCache,
+    LRUPageCache,
+    PartitionAwarePageCache,
+)
 
 import helpers
 
@@ -160,6 +165,69 @@ class TestFrequencyCache:
                     shadow_frames[page] = True
             cache.insert(page, True)
             assert set(cache._frames) == set(shadow_frames)
+
+
+def _resident(cache) -> set:
+    if isinstance(cache, PartitionAwarePageCache):
+        return set(cache._pinned) | set(cache._lru._frames)
+    return set(cache._frames)
+
+
+_CACHE_KINDS = {
+    "freq": FrequencyPageCache,
+    "lru": LRUPageCache,
+    "partition": lambda capacity: PartitionAwarePageCache(
+        capacity, np.random.default_rng(7).random(300)),
+}
+
+
+class TestAccessMany:
+    """``access_many`` is the sequential lookup-then-insert walk."""
+
+    @pytest.mark.parametrize("kind", sorted(_CACHE_KINDS))
+    @pytest.mark.parametrize("capacity", [0, 1, 16, 120])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_sequential_walk(self, kind, capacity, seed):
+        rng = np.random.default_rng(seed)
+        batched = _CACHE_KINDS[kind](capacity)
+        sequential = _CACHE_KINDS[kind](capacity)
+        for step in range(12):
+            # Zipf-skewed ids so hot rows recur and admission contends;
+            # every other batch is unique-sorted like a halo request.
+            ids = rng.zipf(1.3, size=int(rng.integers(0, 200))) % 300
+            if step % 2:
+                ids = np.unique(ids)
+            expected = []
+            for page in ids.tolist():
+                if sequential.lookup(page) is MISS:
+                    sequential.insert(page, True)
+                    expected.append(False)
+                else:
+                    expected.append(True)
+            hit = batched.access_many(ids, True)
+            assert hit.dtype == bool
+            np.testing.assert_array_equal(hit, np.array(expected, bool))
+            assert ((batched.hits, batched.misses, batched.evictions)
+                    == (sequential.hits, sequential.misses,
+                        sequential.evictions))
+            assert _resident(batched) == _resident(sequential)
+
+    def test_sequential_calls_continue_after_a_batch(self):
+        """The heap left by a batched walk serves later ``insert``s."""
+        rng = np.random.default_rng(3)
+        batched, sequential = FrequencyPageCache(8), FrequencyPageCache(8)
+        ids = rng.integers(0, 40, size=300)
+        for page in ids.tolist():
+            if sequential.lookup(page) is MISS:
+                sequential.insert(page, True)
+        batched.access_many(ids, True)
+        for page in rng.integers(0, 40, size=300).tolist():
+            assert ((batched.lookup(page) is MISS)
+                    == (sequential.lookup(page) is MISS))
+            batched.insert(page, True)
+            sequential.insert(page, True)
+            assert _resident(batched) == _resident(sequential)
+        assert batched.evictions == sequential.evictions
 
 
 def _exchange(num_graph_nodes=400, num_cluster_nodes=4, seed=0,

@@ -1,5 +1,7 @@
 """Property tests for the cluster partitioners and partition accounting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,149 @@ class TestPartitionerProperties:
             graph, random_partition(graph.num_nodes, num_parts, seed=seed),
             num_parts)
         assert greedy.edge_cut <= random.edge_cut
+
+
+def greedy_partition_reference(graph, num_parts, balance_slack=0.05,
+                               block_size=64):
+    """The per-node greedy loop :func:`greedy_partition` must reproduce.
+
+    Blockwise affinity (``np.add.at``), then one argmax and one size
+    update per node, in stream order; the refinement pass rescores each
+    node's own partition as if the node had left it.
+    """
+    n = graph.num_nodes
+    if num_parts == 1:
+        return np.zeros(n, dtype=np.int64)
+    capacity = max(
+        math.ceil(n / num_parts),
+        math.ceil(n / num_parts * (1.0 + balance_slack)),
+    )
+    indptr = graph.indptr
+    indices = graph.indices
+    assignment = np.full(n, -1, dtype=np.int64)
+    sizes = np.zeros(num_parts, dtype=np.int64)
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        block = stop - start
+        lo, hi = int(indptr[start]), int(indptr[stop])
+        neigh_parts = assignment[indices[lo:hi]]
+        degs = np.diff(indptr[start:stop + 1])
+        rows = np.repeat(np.arange(block), degs)
+        placed = neigh_parts >= 0
+        affinity = np.zeros((block, num_parts), dtype=np.float64)
+        np.add.at(affinity, (rows[placed], neigh_parts[placed]), 1.0)
+        for i in range(block):
+            score = affinity[i] * (1.0 - sizes / capacity)
+            score[sizes >= capacity] = -np.inf
+            best = int(np.argmax(score))
+            assignment[start + i] = best
+            sizes[best] += 1
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        block = stop - start
+        lo, hi = int(indptr[start]), int(indptr[stop])
+        neigh_parts = assignment[indices[lo:hi]]
+        degs = np.diff(indptr[start:stop + 1])
+        rows = np.repeat(np.arange(block), degs)
+        affinity = np.zeros((block, num_parts), dtype=np.float64)
+        np.add.at(affinity, (rows, neigh_parts), 1.0)
+        for i in range(block):
+            node = start + i
+            current = int(assignment[node])
+            score = affinity[i] * (1.0 - sizes / capacity)
+            score[sizes >= capacity] = -np.inf
+            score[current] = affinity[i][current] * (
+                1.0 - (sizes[current] - 1) / capacity
+            )
+            best = int(np.argmax(score))
+            if best != current:
+                assignment[node] = best
+                sizes[current] -= 1
+                sizes[best] += 1
+    return assignment
+
+
+def _random_csr(num_nodes, num_edges, seed, local=False):
+    """A random directed CSR graph (duplicates and self-loops allowed).
+    ``local`` draws each edge's target near its source, so consecutive
+    IDs cluster the way the community generators lay them out."""
+    rng = np.random.default_rng(seed)
+    if num_nodes == 0:
+        return CSRGraph(indptr=np.zeros(1, dtype=np.int64),
+                        indices=np.empty(0, dtype=np.int64))
+    src = np.sort(rng.integers(0, num_nodes, size=num_edges))
+    if local:
+        dst = (src + rng.integers(-6, 7, size=num_edges)) % num_nodes
+    else:
+        dst = rng.integers(0, num_nodes, size=num_edges)
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(src, minlength=num_nodes))])
+    return CSRGraph(indptr=indptr, indices=dst)
+
+
+@st.composite
+def oracle_cases(draw):
+    num_nodes = draw(st.integers(min_value=0, max_value=400))
+    avg_degree = draw(st.integers(min_value=0, max_value=8))
+    graph = _random_csr(num_nodes, num_nodes * avg_degree,
+                        seed=draw(st.integers(0, 2**16)),
+                        local=draw(st.booleans()))
+    return (graph,
+            draw(st.integers(min_value=2, max_value=8)),
+            draw(st.sampled_from([0.0, 0.01, 0.05, 0.5])),
+            draw(st.sampled_from([1, 3, 64])))
+
+
+def _assert_matches_reference(graph, num_parts, slack, block_size):
+    got = greedy_partition(graph, num_parts, balance_slack=slack,
+                           block_size=block_size)
+    expected = greedy_partition_reference(graph, num_parts, slack,
+                                          block_size)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    return got
+
+
+class TestGreedyMatchesReference:
+    """The block-speculative placement is bytewise the per-node loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_cases())
+    def test_random_csr_graphs(self, case):
+        _assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("block_size", [1, 3, 64])
+    def test_empty_graph(self, block_size):
+        graph = _random_csr(0, 0, seed=0)
+        got = _assert_matches_reference(graph, 4, 0.05, block_size)
+        assert got.size == 0
+
+    @pytest.mark.parametrize("block_size", [1, 3, 64])
+    def test_fewer_nodes_than_parts(self, block_size):
+        graph = _random_csr(3, 9, seed=1)
+        got = _assert_matches_reference(graph, 8, 0.0, block_size)
+        assert np.bincount(got).max() == 1
+
+    @pytest.mark.parametrize("block_size", [1, 3, 64])
+    def test_partitions_fill_to_capacity(self, block_size):
+        # One dense community wants every node in partition 0; with no
+        # slack each partition fills exactly to capacity.
+        n = 200
+        graph = _random_csr(n, n * 8, seed=2, local=True)
+        got = _assert_matches_reference(graph, 4, 0.0, block_size)
+        np.testing.assert_array_equal(np.bincount(got, minlength=4),
+                                      [50, 50, 50, 50])
+
+    def test_community_graph(self):
+        graph, _ = community_graph(2000, 6.0, num_communities=5, rng=3)
+        for slack in (0.0, 0.05):
+            _assert_matches_reference(graph, 5, slack, 64)
+
+    @pytest.mark.parametrize("block_size", [0, -1, -64])
+    def test_block_size_below_one_rejected(self, block_size):
+        graph = _random_csr(10, 30, seed=0)
+        with pytest.raises(ConfigError, match="block_size"):
+            greedy_partition(graph, 2, block_size=block_size)
 
 
 class TestBaselinePartitioners:
