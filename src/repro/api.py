@@ -31,9 +31,6 @@ pipelining — travels in one frozen
         exec=ExecutionSpec(cluster=ClusterSpec(num_nodes=2),
                            pipeline="pipelined"),
     )
-
-The pre-``ExecutionSpec`` keywords (``spec=``, ``cluster=``) keep
-working as warn-once deprecation shims.
 """
 
 from __future__ import annotations
@@ -42,12 +39,7 @@ from typing import Optional, Union
 
 from repro.config import RunConfig
 from repro.frameworks.base import EpochReport, Framework
-from repro.frameworks.registry import (
-    available_frameworks,
-    create,
-    resolve,
-    warn_deprecated,
-)
+from repro.frameworks.registry import available_frameworks, create, resolve
 from repro.graph.datasets import Dataset, get_dataset
 from repro.pipeline import ExecutionSpec, PipelineSpec
 from repro.serve.fleet import FleetReport, FleetSpec
@@ -81,24 +73,11 @@ def _coerce_dataset(dataset: DatasetLike, seed: int) -> Dataset:
     return dataset
 
 
-def _coerce_execution(exec, spec, cluster, entry: str) -> ExecutionSpec:
-    """Fold the deprecated ``spec=``/``cluster=`` keywords into the one
-    :class:`ExecutionSpec`, warning once per shimmed keyword."""
-    if spec is not None:
-        warn_deprecated(f"api.{entry}(spec=...)",
-                        f"api.{entry}(exec=ExecutionSpec(gpu_spec=...))")
-    if cluster is not None:
-        warn_deprecated(f"api.{entry}(cluster=...)",
-                        f"api.{entry}(exec=ExecutionSpec(cluster=...))")
+def _coerce_execution(exec) -> ExecutionSpec:
     if exec is None:
-        return ExecutionSpec(cluster=cluster, gpu_spec=spec)
+        return ExecutionSpec()
     if not isinstance(exec, ExecutionSpec):
         raise TypeError(f"exec must be an ExecutionSpec, got {exec!r}")
-    if spec is not None or cluster is not None:
-        raise TypeError(
-            "pass spec/cluster through the ExecutionSpec, not as "
-            "separate keyword arguments"
-        )
     return exec
 
 
@@ -110,8 +89,6 @@ def run(
     exec: Optional[ExecutionSpec] = None,
     model: str = "gcn",
     sampler=None,
-    spec=None,
-    cluster=None,
 ) -> EpochReport:
     """Run one modeled training epoch.
 
@@ -139,10 +116,8 @@ def run(
         Model profile name (``"gcn"``, ``"gat"``, ``"graphsage"``).
     sampler:
         Optional pre-built sampler, forwarded to ``run_epoch``.
-    spec, cluster:
-        Deprecated — fold into ``exec``. Warn once, keep working.
     """
-    execution = _coerce_execution(exec, spec, cluster, "run")
+    execution = _coerce_execution(exec)
     if config is None:
         config = RunConfig()
     instance = resolve(framework, spec=execution.gpu_spec)
@@ -160,7 +135,6 @@ def serve(
     model: str = "gcn",
     exec: Optional[ExecutionSpec] = None,
     fleet: Optional[FleetSpec] = None,
-    spec=None,
 ) -> Union[ServeReport, FleetReport]:
     """Simulate online inference serving (see :mod:`repro.serve`).
 
@@ -170,8 +144,7 @@ def serve(
     ``run_config`` carries the sampling fanouts, seed, and cost model.
     ``exec`` carries the same :class:`~repro.pipeline.ExecutionSpec` as
     :func:`run`; serving uses its ``gpu_spec`` (the other fields
-    describe epoch training and do not apply). ``spec=`` remains as a
-    warn-once deprecation shim.
+    describe epoch training and do not apply).
 
     With ``fleet=FleetSpec(...)`` the simulation runs N replicas behind
     the spec's router/autoscaler/cache-tier policies and returns a
@@ -179,7 +152,7 @@ def serve(
     round-robin fleet is bit-identical to the default path — the fleet
     conformance suite pins this).
     """
-    execution = _coerce_execution(exec, spec, None, "serve")
+    execution = _coerce_execution(exec)
     if run_config is None:
         run_config = RunConfig(num_gpus=1)
     data = _coerce_dataset(dataset, run_config.seed)

@@ -34,19 +34,24 @@ from repro.gpu.cluster import allreduce_time
 from repro.gpu.pcie import link_from_cost
 from repro.gpu.spec import GPUSpec, RTX3090
 from repro.graph.datasets import Dataset
-from repro.frameworks.registry import warn_deprecated
 from repro.graph.partition import MinibatchPlan
 from repro.nn import Adam, Tensor, build_model, cross_entropy
 from repro.obs import get_registry
 from repro.parallel import ParallelExecutor
-from repro.pipeline import ExecutionSpec, pipelined_epoch_layout
+from repro.pipeline import (
+    PHASES,
+    ExecutionSpec,
+    Stage,
+    pipelined_epoch_layout,
+    pipelined_stages,
+)
 from repro.sampling import (
     BaselineIdMap,
     NeighborSampler,
     SampledSubgraph,
 )
 from repro.sampling.base import Sampler
-from repro.sim.pipeline import two_stage_makespan
+from repro.storage.scheduler import observe_prefetch_queue
 from repro.transfer.loader import FeatureLoader, NaiveLoader, TransferReport
 from repro.utils.rng import RngFactory
 
@@ -238,37 +243,6 @@ def _chunk(batches: list, num_chunks: int) -> list:
     return out
 
 
-#: Phase order of one iteration's spans within a timeline lane. The
-#: ``network`` slot (halo feature exchange) sits between memory IO and
-#: compute — remote rows must land before the forward pass — and is only
-#: populated by cluster runs.
-PHASE_SPAN_ORDER = ("sample", "memory_io", "network", "compute")
-
-
-@dataclass
-class ClusterNetworkTimes:
-    """Per-round fabric costs a cluster run adds to the epoch layout.
-
-    Built by ``run_epoch`` from the :class:`~repro.cluster.engine.
-    ClusterState`; ``None`` everywhere means "no cluster" and every
-    layout falls back to the single-node math bit-for-bit.
-    """
-
-    #: ``per_lane[lane][r]`` — halo-exchange seconds of lane ``lane``'s
-    #: round-``r`` batch (parallel to ``per_trainer_iters``).
-    per_lane: list
-    #: One NCCL allreduce across the trainers inside a node.
-    intra_sync_s: float
-    #: One inter-node allreduce over the fabric (0.0 at one node).
-    net_sync_s: float
-    num_nodes: int
-
-    def lane_time(self, lane: int, r: int) -> float:
-        if lane >= len(self.per_lane) or r >= len(self.per_lane[lane]):
-            return 0.0
-        return self.per_lane[lane][r]
-
-
 def _inject_retry_spans(spans: list, per_trainer_retries: list) -> None:
     """Overlay ``cat="retry"`` child spans on the memory-IO intervals
     whose loads were retried.
@@ -277,23 +251,18 @@ def _inject_retry_spans(spans: list, per_trainer_retries: list) -> None:
     transfer report folds it into ``modeled_time``), so the retry span is
     drawn nested at the tail of its parent interval and never extends the
     timeline — reconciliation between the trace extent and the modeled
-    epoch time is preserved for every layout. Per-trainer lanes
-    (``gpuN``) use that lane's retry seconds; aggregated stage lanes
-    (e.g. the out-of-core ``nvme`` lane, whose duration is the max across
-    lanes) use the max retry seconds of the round.
+    epoch time is preserved for every layout. Per-trainer spans (tagged
+    with their ``trainer``) use that trainer's retry seconds; aggregated
+    stage lanes (e.g. the out-of-core ``nvme`` lane, whose duration is
+    the max across trainers) use the max retry seconds of the round.
     """
     if not any(delay > 0 for lane in per_trainer_retries
                for _, delay in lane):
         return
 
-    def round_retries(lane_name: str, batch: int):
-        if lane_name.startswith("gpu"):
-            try:
-                lane_index = int(lane_name[3:])
-            except ValueError:
-                return 0, 0.0
-            lane = (per_trainer_retries[lane_index]
-                    if lane_index < len(per_trainer_retries) else [])
+    def round_retries(trainer, batch: int):
+        if trainer is not None:
+            lane = per_trainer_retries[trainer]
             return lane[batch] if batch < len(lane) else (0, 0.0)
         count, delay = 0, 0.0
         for lane in per_trainer_retries:
@@ -306,7 +275,8 @@ def _inject_retry_spans(spans: list, per_trainer_retries: list) -> None:
     for span in spans:
         if span["cat"] != "memory_io":
             continue
-        count, delay = round_retries(span["lane"], span.get("batch", -1))
+        count, delay = round_retries(span.get("trainer"),
+                                     span.get("batch", -1))
         if count <= 0 or delay <= 0:
             continue
         duration = min(delay, span["dur"])
@@ -420,8 +390,6 @@ class Framework:
         model_name: str = "gcn",
         sampler: Sampler | None = None,
         execution: ExecutionSpec | None = None,
-        jobs: int | None = None,
-        cluster=None,
     ) -> EpochReport:
         """Execute one epoch and return its full report.
 
@@ -456,26 +424,9 @@ class Framework:
           overlap across rounds. Model state (losses, parameters) is
           identical in both modes — the pipeline only reschedules
           modeled time.
-
-        The bare ``jobs=`` / ``cluster=`` keyword arguments remain as
-        warn-once deprecation shims for pre-``ExecutionSpec`` callers.
         """
-        if jobs is not None:
-            warn_deprecated("Framework.run_epoch(jobs=...)",
-                            "execution=ExecutionSpec(jobs=...)")
-        if cluster is not None:
-            warn_deprecated("Framework.run_epoch(cluster=...)",
-                            "execution=ExecutionSpec(cluster=...)")
         if execution is None:
-            execution = ExecutionSpec(
-                jobs=jobs if jobs is not None else 1,
-                cluster=cluster,
-            )
-        elif jobs is not None or cluster is not None:
-            raise TypeError(
-                "pass jobs/cluster through the ExecutionSpec, not as "
-                "separate keyword arguments"
-            )
+            execution = ExecutionSpec()
         with ExitStack() as stack:
             if execution.faults is not None:
                 from repro.faults import fault_scope
@@ -505,9 +456,9 @@ class Framework:
 
             cluster_state = ClusterState(dataset, config, cluster,
                                          per_node_trainers)
-        trainers = per_node_trainers * (
-            cluster_state.num_nodes if cluster_state is not None else 1
-        )
+        num_nodes = (cluster_state.num_nodes if cluster_state is not None
+                     else 1)
+        trainers = per_node_trainers * num_nodes
         profile = model_profile(
             model_name, dataset.feature_dim, dataset.num_classes,
             hidden_dim=config.hidden_dim, num_layers=config.num_layers,
@@ -540,6 +491,15 @@ class Framework:
             if model is not None
             else _profile_param_bytes(profile)
         )
+        # Per-round gradient sync: the NCCL allreduce across the trainers
+        # (inside one node on cluster runs), then the inter-node fabric hop.
+        if cluster_state is not None:
+            sync = cluster_state.intra_sync_time(param_bytes, cost)
+            net_sync = cluster_state.net_sync_time(param_bytes)
+        else:
+            sync = (allreduce_time(param_bytes, trainers, cost)
+                    if trainers > 1 else 0.0)
+            net_sync = 0.0
 
         phases = PhaseTimes()
         #: Typed like the first report the loader produces, so storage-
@@ -553,7 +513,7 @@ class Framework:
         epoch_time = 0.0
         num_batches = 0
         iteration_log: list = []  # per trainer: [(sample, io, compute), ...]
-        timeline: list = []  # modeled spans laid out by _epoch_timeline
+        timeline: list = []  # modeled spans of every epoch's layout
         pipeline_log: list = []  # per-epoch stage-graph accounting
 
         # Observability handles, fetched once per epoch run. With the
@@ -625,15 +585,13 @@ class Framework:
             transport_totals["shm_bytes"] += transport.shm_bytes
             transport_totals["spilled_bytes"] += transport.spilled_bytes
 
-            per_trainer_iters: list = []  # per trainer: (sample, io, comp)
+            per_trainer_rounds: list = []  # per trainer: PHASES seconds
             per_trainer_retries: list = []  # per trainer: (count, seconds)
-            per_trainer_net: list = []  # per trainer: halo seconds per round
             for t, records in enumerate(lane_records):
                 chunk = chunks[t]
                 subgraphs = lane_subgraphs[t]
-                iters = []
+                lane_rounds = []
                 lane_retries = []
-                lane_net = []
                 for rec in records:
                     position = rec["position"]
                     sg = subgraphs[position]
@@ -649,7 +607,6 @@ class Framework:
                     net_t = 0.0
                     if cluster_state is not None:
                         net_t = cluster_state.batch_network_time(t, sg)
-                    lane_net.append(net_t)
 
                     phases.sample += sample_t
                     phases.idmap += idmap_t
@@ -672,7 +629,9 @@ class Framework:
                         sg.idmap_report if idmap_total is None
                         else idmap_total + sg.idmap_report
                     )
-                    iters.append((sample_t, io_t, comp.total_time))
+                    lane_rounds.append(
+                        (sample_t, io_t, net_t, comp.total_time)
+                    )
                     lane_retries.append((
                         getattr(report, "num_retries", 0),
                         getattr(report, "retry_delay_s", 0.0),
@@ -698,53 +657,43 @@ class Framework:
                     if usage["total"] > memory_peak:
                         memory_peak = usage["total"]
                         memory_detail = usage
-                per_trainer_iters.append(iters)
+                per_trainer_rounds.append(lane_rounds)
                 per_trainer_retries.append(lane_retries)
-                per_trainer_net.append(lane_net)
 
-            network = None
-            if cluster_state is not None:
-                network = ClusterNetworkTimes(
-                    per_lane=per_trainer_net,
-                    intra_sync_s=cluster_state.intra_sync_time(
-                        param_bytes, cost
-                    ),
-                    net_sync_s=cluster_state.net_sync_time(param_bytes),
-                    num_nodes=cluster_state.num_nodes,
-                )
-            pipe_info = None
+            halo = any(net_t > 0 for lane in per_trainer_rounds
+                       for _, _, net_t, _ in lane)
+            stages, window = self._epoch_stages(config, num_nodes, pipeline,
+                                                halo)
+            epoch_seconds, epoch_spans, info = pipelined_epoch_layout(
+                stages, per_trainer_rounds, sync=sync, net_sync=net_sync,
+                queue_depth=(pipeline.queue_depth if pipeline.enabled
+                             else None),
+                window=window,
+                staleness=pipeline.staleness if pipeline.enabled else 0,
+                label=(self.name or "epoch") if pipeline.enabled else None,
+            )
+            if window is not None:
+                # The admission window is the storage prefetch queue.
+                observe_prefetch_queue(epoch_seconds, info["stage_totals"],
+                                       max(map(len, per_trainer_rounds)),
+                                       window)
             if pipeline.enabled:
-                epoch_seconds, epoch_spans, pipe_info = (
-                    self._pipelined_timeline(
-                        per_trainer_iters, param_bytes, trainers, config,
-                        network=network, pipeline=pipeline,
-                    )
-                )
-                pipe_info["epoch_seconds"] = epoch_seconds
-                pipeline_log.append(pipe_info)
-            else:
-                epoch_seconds, epoch_spans = self._epoch_timeline(
-                    per_trainer_iters, param_bytes, trainers, config,
-                    network=network,
-                )
+                info.update(mode=pipeline.mode,
+                            queue_depth=pipeline.queue_depth,
+                            staleness=pipeline.staleness,
+                            epoch_seconds=epoch_seconds)
+                pipeline_log.append(info)
             _inject_retry_spans(epoch_spans, per_trainer_retries)
             for span in epoch_spans:
                 span["start"] += epoch_time
             timeline.extend(epoch_spans)
             epoch_time += epoch_seconds
-            num_syncs = (pipe_info["num_syncs"] if pipe_info is not None
-                         else None)
-            epoch_allreduce = self._allreduce_total(
-                per_trainer_iters, param_bytes, trainers, config,
-                network=network, num_syncs=num_syncs,
-            )
+            epoch_allreduce = info["num_syncs"] * sync
             phases.allreduce += epoch_allreduce
             if epoch_allreduce > 0:
                 obs_phase["allreduce"].observe(epoch_allreduce)
-            if network is not None and network.net_sync_s > 0:
-                rounds = max(len(iters) for iters in per_trainer_iters)
-                syncs = num_syncs if num_syncs is not None else rounds
-                net_sync_total = syncs * network.net_sync_s
+            if net_sync > 0:
+                net_sync_total = info["num_syncs"] * net_sync
                 phases.network += net_sync_total
                 obs_phase["network"].observe(net_sync_total)
         extras = {"iterations": iteration_log,
@@ -864,136 +813,21 @@ class Framework:
             io_t -= min(structure_t, comp.total_time)
         return max(0.0, io_t)
 
-    def _allreduce_total(self, per_trainer_iters, param_bytes, trainers,
-                         config, network=None, num_syncs=None) -> float:
-        rounds = max(len(iters) for iters in per_trainer_iters)
-        # Bounded-staleness accumulation syncs fewer than ``rounds``
-        # times; the sequential layouts sync every round.
-        syncs = rounds if num_syncs is None else num_syncs
-        if network is not None:
-            # Hierarchical sync: only the intra-node NCCL share counts as
-            # ``allreduce``; the inter-node hop is network-phase time.
-            return syncs * network.intra_sync_s
-        if trainers <= 1:
-            return 0.0
-        return syncs * allreduce_time(param_bytes, trainers, config.cost)
+    def _epoch_stages(self, config: RunConfig, num_nodes: int, pipeline,
+                      halo: bool) -> tuple:
+        """This framework's epoch as a stage-graph declaration:
+        ``(stages, window)`` for :func:`~repro.pipeline.
+        pipelined_epoch_layout`.
 
-    def _epoch_time(self, per_trainer_iters, param_bytes, trainers,
-                    config, network=None) -> float:
-        """Modeled epoch wall-clock (the makespan of the epoch timeline)."""
-        seconds, _ = self._epoch_timeline(per_trainer_iters, param_bytes,
-                                          trainers, config, network=network)
-        return seconds
-
-    def _sync_times(self, param_bytes, trainers, config,
-                    network=None) -> tuple:
-        """``(intra_sync, net_sync)`` per lockstep round: the NCCL
-        allreduce every layout charges after each round, plus the
-        inter-node fabric allreduce cluster runs append to it."""
-        if network is not None:
-            return network.intra_sync_s, network.net_sync_s
-        sync = (allreduce_time(param_bytes, trainers, config.cost)
-                if trainers > 1 else 0.0)
-        return sync, 0.0
-
-    def _pipeline_stage_times(self, per_trainer_iters, config,
-                              network=None) -> tuple:
-        """Per-round stage seconds the pipelined layout schedules.
-
-        Returns ``(samples, ios, nets, computes)``, each one value per
-        lockstep round: the phase reduced across trainer lanes by max,
-        because the stage (sampler stream / DMA engine / NIC / training
-        stream) only releases the round once its slowest lane finishes.
-        Frameworks with a dedicated sampling tier (GNNLab) override this
-        to factor their sampler-GPU throughput into the sample stage.
+        ``pipeline="off"`` is lockstep data parallelism: each round runs
+        one batch per trainer and the gradient sync joins the round as a
+        collective every trainer attends. ``"pipelined"`` overlaps the
+        rounds through the full sample → memory IO → (halo) → train
+        graph. ``halo`` says whether this epoch moved any remote rows.
         """
-        rounds = max(len(iters) for iters in per_trainer_iters)
-        samples = [0.0] * rounds
-        ios = [0.0] * rounds
-        nets = [0.0] * rounds
-        computes = [0.0] * rounds
-        for lane, iters in enumerate(per_trainer_iters):
-            for r, (sample_t, io_t, comp_t) in enumerate(iters):
-                samples[r] = max(samples[r], sample_t)
-                ios[r] = max(ios[r], io_t)
-                computes[r] = max(computes[r], comp_t)
-                if network is not None:
-                    nets[r] = max(nets[r], network.lane_time(lane, r))
-        return samples, ios, nets, computes
-
-    def _pipelined_timeline(self, per_trainer_iters, param_bytes, trainers,
-                            config, network=None, *, pipeline) -> tuple:
-        """Asynchronous layout: the epoch's rounds flow through the
-        bounded stage graph so round ``i+2`` samples while ``i+1``
-        transfers and ``i`` trains. Returns ``(epoch_seconds, spans,
-        info)``; model state is untouched — only modeled time moves.
-        """
-        samples, ios, nets, computes = self._pipeline_stage_times(
-            per_trainer_iters, config, network=network,
-        )
-        sync, net_sync = self._sync_times(param_bytes, trainers, config,
-                                          network=network)
-        return pipelined_epoch_layout(
-            samples, ios, nets, computes,
-            sync=sync, net_sync=net_sync, pipeline=pipeline,
-            label=self.name or "epoch",
-        )
-
-    def _epoch_timeline(self, per_trainer_iters, param_bytes, trainers,
-                        config, network=None) -> tuple:
-        """Lockstep data-parallel layout: each round runs one batch per
-        trainer; gradient sync joins the round as a collective all lanes
-        attend (intra-node allreduce, then the inter-node hop on cluster
-        runs).
-
-        Returns ``(epoch_seconds, spans)`` where each span is a dict with
-        ``lane``/``name``/``cat``/``start``/``dur`` keys; every lane's
-        final span ends exactly at ``epoch_seconds``, so the exported
-        trace reconciles with the modeled epoch time.
-        """
-        rounds = max(len(iters) for iters in per_trainer_iters)
-        sync, net_sync = self._sync_times(param_bytes, trainers, config,
-                                          network=network)
-        spans: list = []
-        total = 0.0
-        for r in range(rounds):
-            round_time = 0.0
-            for lane, iters in enumerate(per_trainer_iters):
-                if r >= len(iters):
-                    continue
-                sample_t, io_t, comp_t = iters[r]
-                net_t = (network.lane_time(lane, r)
-                         if network is not None else 0.0)
-                cursor = total
-                for phase, duration in (("sample", sample_t),
-                                        ("memory_io", io_t),
-                                        ("network", net_t),
-                                        ("compute", comp_t)):
-                    if duration > 0:
-                        spans.append({
-                            "lane": f"gpu{lane}", "name": f"{phase}[{r}]",
-                            "cat": phase, "start": cursor, "dur": duration,
-                            "batch": r,
-                        })
-                        cursor += duration
-                round_time = max(round_time, cursor - total)
-            if sync > 0:
-                for lane in range(len(per_trainer_iters)):
-                    spans.append({
-                        "lane": f"gpu{lane}", "name": f"allreduce[{r}]",
-                        "cat": "allreduce", "start": total + round_time,
-                        "dur": sync, "batch": r,
-                    })
-            if net_sync > 0:
-                for lane in range(len(per_trainer_iters)):
-                    spans.append({
-                        "lane": f"gpu{lane}",
-                        "name": f"allreduce_net[{r}]",
-                        "cat": "network", "start": total + round_time + sync,
-                        "dur": net_sync, "batch": r,
-                    })
-            total += round_time + sync + net_sync
-        return total, spans
+        if pipeline.enabled:
+            return pipelined_stages(halo), None
+        return (Stage("round", PHASES),), None
 
     def _workspace_bytes(self, subgraph: SampledSubgraph, profile, dataset,
                          param_bytes: int, config: RunConfig) -> dict:
@@ -1045,11 +879,3 @@ def _profile_param_bytes(profile) -> int:
         if profile.attention_heads:
             total += 2 * profile.attention_heads * d_out
     return total * 4
-
-
-def pipeline_epoch_time(
-    produce_times: list,
-    consume_times: list,
-) -> float:
-    """Helper for pipelined frameworks (re-exported for GNNLab)."""
-    return two_stage_makespan(produce_times, consume_times)

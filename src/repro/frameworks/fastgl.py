@@ -20,9 +20,9 @@ from repro.config import RunConfig
 from repro.frameworks.base import Framework
 from repro.frameworks.gnnlab import _cache_budget
 from repro.graph.datasets import Dataset
+from repro.pipeline import Stage
 from repro.sampling import BaselineIdMap, FusedIdMap
 from repro.sampling.base import Sampler
-from repro.storage.scheduler import storage_pipeline_makespan
 from repro.transfer.cache import PresampleCachePolicy
 from repro.transfer.loader import FeatureLoader, MatchLoader, NaiveLoader
 from repro.transfer.storage_loader import (
@@ -103,79 +103,18 @@ class OutOfCoreFastGLFramework(FastGLFramework):
             return page_cache_budget_bytes(dataset, config)
         return 0
 
-    def _epoch_timeline(self, per_trainer_iters, param_bytes, trainers,
-                        config, network=None) -> tuple:
-        """Sample -> storage-read -> train pipeline per lockstep round,
-        bounded by the prefetch queue depth.
-
-        The event simulation records every executed stage interval, so
-        the exported timeline shows the actual overlap (one lane per
-        pipeline stage) and its last span ends at the pipelined epoch
-        time. Cluster runs extend the train stage with the round's halo
-        exchange (features must land before the forward pass) and the
-        inter-node gradient hop; both render as ``network`` spans carved
-        out of the stage interval, so reconciliation is untouched.
-        """
-        rounds = max(len(iters) for iters in per_trainer_iters)
-        sync, net_sync = self._sync_times(param_bytes, trainers, config,
-                                          network=network)
-        samples, reads, trains, halos = [], [], [], []
-        for r in range(rounds):
-            sample_max = read_max = train_max = net_max = 0.0
-            for lane, iters in enumerate(per_trainer_iters):
-                if r < len(iters):
-                    sample_t, io_t, comp_t = iters[r]
-                    sample_max = max(sample_max, sample_t)
-                    read_max = max(read_max, io_t)
-                    train_max = max(train_max, comp_t)
-                    if network is not None:
-                        net_max = max(net_max, network.lane_time(lane, r))
-            samples.append(sample_max)
-            reads.append(read_max)
-            trains.append(net_max + train_max + sync + net_sync)
-            halos.append(net_max)
-        records: list = []
-        makespan = storage_pipeline_makespan(
-            samples, reads, trains,
-            queue_depth=max(1, config.storage_prefetch_depth),
-            record=records.append,
-        )
-        lane_of = {"sample": "sampler", "memory_io": "nvme",
-                   "compute": "trainers"}
-        spans: list = []
-        for stage, batch, start, end in records:
-            if end <= start:
-                continue
-            if stage != "compute":
-                spans.append({
-                    "lane": lane_of[stage], "name": f"{stage}[{batch}]",
-                    "cat": stage, "start": start, "dur": end - start,
-                    "batch": batch,
-                })
-                continue
-            halo = halos[batch] if batch < len(halos) else 0.0
-            cursor = start
-            if halo > 0:
-                spans.append({
-                    "lane": "trainers", "name": f"halo[{batch}]",
-                    "cat": "network", "start": cursor, "dur": halo,
-                    "batch": batch,
-                })
-                cursor += halo
-            body_end = end - net_sync
-            if body_end > cursor:
-                spans.append({
-                    "lane": "trainers", "name": f"compute[{batch}]",
-                    "cat": "compute", "start": cursor,
-                    "dur": body_end - cursor, "batch": batch,
-                })
-            if net_sync > 0:
-                spans.append({
-                    "lane": "trainers", "name": f"allreduce_net[{batch}]",
-                    "cat": "network", "start": body_end, "dur": net_sync,
-                    "batch": batch,
-                })
-        return makespan, spans
+    def _epoch_stages(self, config: RunConfig, num_nodes: int, pipeline,
+                      halo: bool) -> tuple:
+        """Sample -> storage-read -> train per lockstep round, at most
+        ``storage_prefetch_depth`` rounds in flight (the prefetch
+        queue). Cluster runs put the round's halo exchange in the train
+        stage: features must land before the forward pass."""
+        if pipeline.enabled:
+            return super()._epoch_stages(config, num_nodes, pipeline, halo)
+        return (Stage("sample", ("sample",), "sampler"),
+                Stage("memory_io", ("memory_io",), "nvme"),
+                Stage("compute", ("network", "compute"), "trainers"),
+                ), max(1, config.storage_prefetch_depth)
 
 
 def fastgl_variant(

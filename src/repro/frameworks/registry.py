@@ -11,14 +11,10 @@ module-level dicts. Third-party frameworks join the comparison with
 
 from __future__ import annotations
 
-import warnings
-
 #: name -> Framework subclass. Exposed as ``repro.frameworks.FRAMEWORKS``
 #: for backward compatibility; treat it as read-only and use
 #: :func:`register` to add entries.
 FRAMEWORKS: dict = {}
-
-_DEPRECATION_WARNED: set = set()
 
 
 def register(name: str, cls: type | None = None):
@@ -76,22 +72,3 @@ def resolve(framework, *, spec=None):
     if isinstance(framework, type):
         return framework(**({"spec": spec} if spec is not None else {}))
     return framework
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit one :class:`DeprecationWarning` per process per entry point.
-
-    Shared by every compatibility shim in the package (the
-    ``api.run(spec=/cluster=)`` and ``run_epoch(jobs=/cluster=)``
-    keyword shims follow the precedent the removed ``get_framework``
-    alias set): the first use of a deprecated entry point warns, later
-    uses stay silent so sweeps don't flood the log.
-    """
-    if old in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(old)
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -9,15 +9,22 @@ Three pieces:
 * :func:`stage_graph_makespan` — the generic bounded-queue dataflow
   engine on :mod:`repro.sim.events` (sample → transfer → halo → train
   as exclusive stages with backpressure).
-* :func:`pipelined_epoch_layout` — one epoch's rounds laid out through
-  that graph, returning a reconciling timeline with per-stage stall
-  spans.
+* :class:`Stage` / :func:`pipelined_epoch_layout` — every framework's
+  epoch (lockstep, GNNLab's sampler pool, the out-of-core prefetch
+  pipeline, the fully pipelined graph) declared as stages and laid out
+  through that engine, returning a reconciling timeline.
 
 ``python -m repro.pipeline`` runs the deterministic overlap smoke suite
 and gates it against ``benchmarks/results/pipeline_baseline.json``.
 """
 
-from repro.pipeline.epoch import pipelined_epoch_layout, sync_round_flags
+from repro.pipeline.epoch import (
+    PHASES,
+    Stage,
+    pipelined_epoch_layout,
+    pipelined_stages,
+    sync_round_flags,
+)
 from repro.pipeline.graph import stage_graph_makespan, stage_graph_reference
 from repro.pipeline.spec import (
     DEFAULT_EXECUTION,
@@ -28,10 +35,13 @@ from repro.pipeline.spec import (
 
 __all__ = [
     "DEFAULT_EXECUTION",
+    "PHASES",
     "PIPELINE_OFF",
     "ExecutionSpec",
     "PipelineSpec",
+    "Stage",
     "pipelined_epoch_layout",
+    "pipelined_stages",
     "stage_graph_makespan",
     "stage_graph_reference",
     "sync_round_flags",

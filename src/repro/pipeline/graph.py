@@ -1,9 +1,9 @@
 """The dataflow stage-graph engine: N exclusive stages, bounded queues.
 
 Generalizes the two-stage producer/consumer recurrence
-(:func:`repro.sim.pipeline.two_stage_makespan`) and the three-stage
-storage pipeline to an arbitrary linear stage graph on
-:mod:`repro.sim.events`: every stage is an exclusive resource (the
+(:func:`repro.sim.pipeline.two_stage_makespan`) to an arbitrary linear
+stage graph on :mod:`repro.sim.events`: every stage is an exclusive
+resource (the
 sampler stream, the PCIe/DMA engine, the NIC, the training stream),
 items flow through the stages in order, and each stage-to-stage edge is
 a bounded buffer of ``queue_depth`` slots — a stage may only *start*
@@ -12,7 +12,10 @@ occupied until the downstream stage *finishes* the item (the buffer is
 being read while the consumer works, exactly the double-buffered
 transfer lane semantics). Backpressure therefore propagates upstream:
 with ``queue_depth=1`` each stage runs at most one item ahead of the
-next; ``None`` removes the bound entirely.
+next; ``None`` removes the bound entirely. An admission ``window``
+bounds the whole graph instead: item ``i`` may enter the first stage
+only once item ``i - window`` has left the last one (the out-of-core
+prefetch queue: at most ``window`` batches sampled but not yet trained).
 
 For two stages this engine reproduces ``two_stage_makespan`` exactly —
 the agreement tests use the closed-form recurrence as the oracle.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.obs import get_registry
+from repro.obs import NULL_HISTOGRAM, get_registry
 from repro.sim.events import EventLoop
 
 #: ``record``/``stall_record`` callbacks receive these 4-tuples.
@@ -34,9 +37,10 @@ def stage_graph_makespan(
     *,
     names: Sequence[str] | None = None,
     queue_depth: int | None = None,
+    window: int | None = None,
     record: Callable[[Interval], None] | None = None,
     stall_record: Callable[[Interval], None] | None = None,
-    pipeline_label: str = "epoch",
+    pipeline_label: str | None = "epoch",
 ) -> float:
     """Makespan of ``n`` items flowing through the linear stage graph.
 
@@ -46,15 +50,16 @@ def stage_graph_makespan(
     interval — the hook the epoch timeline uses to lay out the overlap
     faithfully — and ``stall_record`` with the same shape for every
     interval a stage spent waiting (starved for input, or blocked on
-    backpressure from a full output buffer). Start-up starvation (stage
-    ``s`` idle until its first item arrives — the pipeline fill) counts
-    as stall time.
+    backpressure from a full output buffer, or on the admission
+    ``window``). Start-up starvation (stage ``s`` idle until its first
+    item arrives — the pipeline fill) counts as stall time.
 
     When observability is enabled, per-stage stall seconds go to the
     ``repro_pipeline_stall_seconds_total`` counter and the number of
     items in flight (entered the first stage, not yet out of the last)
     at each admission to the ``repro_pipeline_queue_occupancy``
-    histogram, both labeled ``pipeline=pipeline_label``.
+    histogram, both labeled ``pipeline=pipeline_label``;
+    ``pipeline_label=None`` publishes neither.
     """
     times = [list(map(float, stage)) for stage in stage_times]
     if not times:
@@ -64,6 +69,8 @@ def stage_graph_makespan(
         raise ValueError("stage time lists must have equal length")
     if queue_depth is not None and queue_depth < 1:
         raise ValueError("queue_depth must be >= 1 or None")
+    if window is not None and window < 1:
+        raise ValueError("window must be >= 1 or None")
     num_stages = len(times)
     if names is None:
         names = [f"stage{s}" for s in range(num_stages)]
@@ -80,15 +87,21 @@ def stage_graph_makespan(
             [loop.resource(f"slot{s}.{j}") for j in range(queue_depth)]
             for s in range(num_stages - 1)
         ]
+    admits = None
+    if window is not None:
+        admits = [loop.resource(f"admit{j}") for j in range(window)]
     stall_totals = [0.0] * num_stages
     in_flight = [0]
     registry = get_registry()
-    occupancy = registry.histogram(
-        "repro_pipeline_queue_occupancy",
-        "Items in flight (admitted, not yet out of the last stage) at "
-        "each admission to the stage graph",
-        buckets=(1, 2, 4, 8, 16, 32, 64),
-    ).labels(pipeline=pipeline_label)
+    publish = pipeline_label is not None and registry.enabled
+    occupancy = NULL_HISTOGRAM
+    if publish:
+        occupancy = registry.histogram(
+            "repro_pipeline_queue_occupancy",
+            "Items in flight (admitted, not yet out of the last stage) at "
+            "each admission to the stage graph",
+            buckets=(1, 2, 4, 8, 16, 32, 64),
+        ).labels(pipeline=pipeline_label)
 
     def stage_proc(s: int):
         name = names[s]
@@ -97,6 +110,8 @@ def stage_graph_makespan(
             if s > 0:
                 yield queues[s - 1].get()
             else:
+                if admits is not None:
+                    yield admits[i % window].acquire()
                 in_flight[0] += 1
                 occupancy.observe(in_flight[0])
             if slots is not None and s + 1 < num_stages:
@@ -119,12 +134,14 @@ def stage_graph_makespan(
                 queues[s].put(i)
             else:
                 in_flight[0] -= 1
+                if admits is not None:
+                    admits[i % window].release()
 
     for s in range(num_stages):
         loop.spawn(stage_proc(s))
     makespan = loop.run()
 
-    if registry.enabled:
+    if publish:
         stalls = registry.counter(
             "repro_pipeline_stall_seconds_total",
             "Modeled seconds a pipeline stage spent waiting on the other",
@@ -138,14 +155,17 @@ def stage_graph_makespan(
 def stage_graph_reference(
     stage_times: Sequence[Sequence[float]],
     queue_depth: int | None = None,
+    window: int | None = None,
 ) -> float:
     """Closed-form recurrence cross-checking :func:`stage_graph_makespan`.
 
     ``start[s][i] = max(finish[s][i-1], finish[s-1][i],
     finish[s+1][i-depth])`` — the stage is serial, the item must have
     left the previous stage, and (with a bounded buffer) the output slot
-    it reuses must have been drained by the downstream stage. For two
-    stages this is exactly :func:`repro.sim.pipeline.two_stage_makespan`.
+    it reuses must have been drained by the downstream stage. The first
+    stage also waits for ``finish[-1][i-window]`` (the admission
+    window). For two stages this is exactly
+    :func:`repro.sim.pipeline.two_stage_makespan`.
     """
     times = [list(map(float, stage)) for stage in stage_times]
     if not times:
@@ -165,5 +185,7 @@ def stage_graph_reference(
             if (queue_depth is not None and s + 1 < num_stages
                     and i >= queue_depth):
                 start = max(start, finish[s + 1][i - queue_depth])
+            if s == 0 and window is not None and i >= window:
+                start = max(start, finish[-1][i - window])
             finish[s][i] = start + times[s][i]
     return finish[-1][-1]

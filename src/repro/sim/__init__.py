@@ -1,14 +1,13 @@
 """Discrete-event machinery for phase pipelining.
 
-GNNLab factors sampling and training onto different GPUs and runs them as a
-producer/consumer pipeline; FastGL prefetches the next subgraph's topology
-under the current batch's compute. Both overlaps are modeled here, either
-with the tiny event engine (:mod:`repro.sim.events`) or the closed-form
-two-stage pipeline (:mod:`repro.sim.pipeline`) — the tests check they
-agree.
+The tiny event engine (:mod:`repro.sim.events`) runs every epoch's stage
+graph (:mod:`repro.pipeline.graph`) and the serving simulators; the
+closed-form two-stage producer/consumer recurrence
+(:mod:`repro.sim.pipeline`, GNNLab's factored sample/train design) is
+the oracle the tests check the stage graph against.
 """
 
 from repro.sim.events import EventLoop
-from repro.sim.pipeline import two_stage_makespan, two_stage_makespan_sim
+from repro.sim.pipeline import two_stage_makespan
 
-__all__ = ["EventLoop", "two_stage_makespan", "two_stage_makespan_sim"]
+__all__ = ["EventLoop", "two_stage_makespan"]

@@ -2,8 +2,9 @@
 
 Stage 1 (a dedicated sampler GPU) produces mini-batches; stage 2 (trainer
 GPUs) consumes them. Batch ``i`` starts training at
-``max(produced_i, trainer_free)``. Both a closed-form recurrence and an
-event-simulation version are provided; tests assert they agree.
+``max(produced_i, trainer_free)``. This closed-form recurrence is the
+oracle the stage-graph engine (:mod:`repro.pipeline.graph`) is tested
+against.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.obs import get_registry
-from repro.sim.events import EventLoop
 
 
 def two_stage_makespan(
@@ -61,43 +61,3 @@ def two_stage_makespan(
         stalls.labels(pipeline="two_stage",
                       stage="consumer").inc(consumer_stall)
     return consumed_at[-1]
-
-
-def two_stage_makespan_sim(
-    produce_times: Sequence[float],
-    consume_times: Sequence[float],
-    queue_depth: int | None = None,
-) -> float:
-    """Event-simulation version of :func:`two_stage_makespan`, used to
-    cross-check the recurrence.
-
-    A finite ``queue_depth`` is modeled as a ring of slot resources: the
-    producer claims slot ``i % depth`` before producing batch ``i`` and the
-    consumer releases it after consuming, so at most ``depth`` batches are
-    ever in flight.
-    """
-    if len(produce_times) != len(consume_times):
-        raise ValueError("stage time lists must have equal length")
-    if queue_depth is not None and queue_depth < 1:
-        raise ValueError("queue_depth must be >= 1")
-    loop = EventLoop()
-    consumer_gate = loop.resource("consumer")
-    slots = ([loop.resource(f"slot{j}") for j in range(queue_depth)]
-             if queue_depth is not None else None)
-
-    def producer():
-        for i, t in enumerate(produce_times):
-            if slots is not None:
-                yield slots[i % queue_depth].acquire()
-            yield float(t)
-            loop.spawn(consumer(i))
-
-    def consumer(i: int):
-        yield consumer_gate.acquire()
-        yield float(consume_times[i])
-        consumer_gate.release()
-        if slots is not None:
-            slots[i % queue_depth].release()
-
-    loop.spawn(producer())
-    return loop.run()

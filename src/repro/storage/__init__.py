@@ -23,7 +23,7 @@ from repro.storage.page_store import PageStore
 from repro.storage.scheduler import (
     IOPlan,
     IOScheduler,
-    storage_pipeline_makespan,
+    observe_prefetch_queue,
 )
 
 __all__ = [
@@ -39,5 +39,5 @@ __all__ = [
     "PageStore",
     "IOPlan",
     "IOScheduler",
-    "storage_pipeline_makespan",
+    "observe_prefetch_queue",
 ]

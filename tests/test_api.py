@@ -1,8 +1,6 @@
 """The public facade (repro.api), the framework registry, and the typed
 EpochReport surface."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -82,45 +80,19 @@ class TestRegistry:
         assert not hasattr(frameworks_module, "get_framework")
         assert not hasattr(repro, "get_framework")
 
-    def test_run_cluster_kwarg_shim_warns_once(self, dataset, config):
+    def test_pre_execution_spec_keywords_are_gone(self, dataset, config):
         from repro.cluster.spec import ClusterSpec
 
-        registry_module._DEPRECATION_WARNED.discard("api.run(cluster=...)")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = api.run("dgl", dataset, config=config,
-                             cluster=ClusterSpec(num_nodes=1))
+        with pytest.raises(TypeError):
             api.run("dgl", dataset, config=config,
                     cluster=ClusterSpec(num_nodes=1))
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "ExecutionSpec" in str(deprecations[0].message)
-        via_exec = api.run(
-            "dgl", dataset, config=config,
-            exec=api.ExecutionSpec(cluster=ClusterSpec(num_nodes=1)),
-        )
-        assert legacy.epoch_time == via_exec.epoch_time
-
-    def test_run_rejects_exec_plus_legacy_kwargs(self, dataset, config):
-        from repro.cluster.spec import ClusterSpec
-
-        with pytest.raises(TypeError, match="ExecutionSpec"):
-            api.run("dgl", dataset, config=config,
-                    exec=api.ExecutionSpec(),
-                    cluster=ClusterSpec(num_nodes=1))
-
-    def test_run_epoch_jobs_kwarg_shim_warns_once(self, dataset, config):
-        registry_module._DEPRECATION_WARNED.discard(
-            "Framework.run_epoch(jobs=...)")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.raises(TypeError):
+            api.run("dgl", dataset, config=config, spec=None)
+        with pytest.raises(TypeError):
+            api.serve("dgl", dataset, spec=None)
+        with pytest.raises(TypeError):
             create("dgl").run_epoch(dataset, config, jobs=1)
-            create("dgl").run_epoch(dataset, config, jobs=1)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "ExecutionSpec" in str(deprecations[0].message)
+        assert not hasattr(registry_module, "warn_deprecated")
 
 
 class TestRunFacade:

@@ -9,13 +9,29 @@ from repro.frameworks.base import (
     Framework,
     PhaseTimes,
     _chunk,
+    _inject_retry_spans,
     _profile_param_bytes,
 )
 from repro.frameworks.dgl import DGLFramework
 from repro.frameworks.gnnlab import GNNLabFramework
 from repro.gpu.cluster import allreduce_time
 from repro.gpu.pcie import PCIeLink
+from repro.pipeline import PIPELINE_OFF, pipelined_epoch_layout
+from repro.sim.pipeline import two_stage_makespan
 from repro.transfer.loader import TransferReport
+
+
+def _epoch_time(fw, iters, param_bytes, trainers, config) -> float:
+    """Off-mode epoch makespan of ``fw`` over per-trainer ``(sample, io,
+    compute)`` iterations on one node."""
+    stages, window = fw._epoch_stages(config, 1, PIPELINE_OFF, False)
+    sync = (allreduce_time(param_bytes, trainers, config.cost)
+            if trainers > 1 else 0.0)
+    rounds = [[(sample, io, 0.0, comp) for sample, io, comp in lane]
+              for lane in iters]
+    seconds, _, _ = pipelined_epoch_layout(stages, rounds, sync=sync,
+                                           net_sync=0.0, window=window)
+    return seconds
 
 
 class TestChunk:
@@ -81,13 +97,13 @@ class TestLockstepEpochTime:
         fw = DGLFramework()
         iters = [[(1.0, 1.0, 1.0), (0.5, 0.5, 1.0)]]
         config = RunConfig(num_gpus=1)
-        assert fw._epoch_time(iters, 0, 1, config) == pytest.approx(5.0)
+        assert _epoch_time(fw, iters, 0, 1, config) == pytest.approx(5.0)
 
     def test_two_trainers_lockstep_max(self):
         fw = DGLFramework()
         iters = [[(1.0, 0.5, 0.5)], [(2.0, 1.0, 2.0)]]
         config = RunConfig(num_gpus=2)
-        time = fw._epoch_time(iters, 0, 2, config)
+        time = _epoch_time(fw, iters, 0, 2, config)
         sync = allreduce_time(0, 2, config.cost)
         assert time == pytest.approx(5.0 + sync)
 
@@ -97,8 +113,8 @@ class TestLockstepEpochTime:
                  [(1.0, 0.5, 0.5), (1.0, 0.5, 0.5)]]
         config = RunConfig(num_gpus=2)
         grad = 10_000_000
-        with_sync = fw._epoch_time(iters, grad, 2, config)
-        without = fw._epoch_time(iters, 0, 2, config)
+        with_sync = _epoch_time(fw, iters, grad, 2, config)
+        without = _epoch_time(fw, iters, 0, 2, config)
         expected = 2 * (allreduce_time(grad, 2, config.cost)
                         - allreduce_time(0, 2, config.cost))
         assert with_sync - without == pytest.approx(expected)
@@ -111,7 +127,7 @@ class TestGNNLabPipeline:
         config = RunConfig(num_gpus=2)
         # 4 rounds, sampling 1s each, io+training 1s each.
         iters = [[(1.0, 0.5, 0.5)] * 4]
-        time = fw._epoch_time(iters, 0, 1, config)
+        time = _epoch_time(fw, iters, 0, 1, config)
         assert time == pytest.approx(5.0)  # 1 + 4 (pipeline fill + drain)
         serial = 8.0
         assert time < serial
@@ -123,19 +139,33 @@ class TestGNNLabPipeline:
         assert fw.num_trainer_gpus(five) == 3
 
     def test_matches_event_simulation(self):
-        """GNNLab's closed-form pipeline time equals the discrete-event
-        simulation of the same producer/consumer schedule."""
-        from repro.sim.pipeline import two_stage_makespan_sim
-
+        """GNNLab's stage-graph layout equals the closed-form two-stage
+        recurrence of the same producer/consumer schedule."""
         fw = GNNLabFramework()
         config = RunConfig(num_gpus=2)
         iters = [[(0.7, 0.4, 0.9), (1.1, 0.2, 0.2),
                   (0.2, 0.4, 0.5), (0.5, 0.25, 0.25)]]
-        closed = fw._epoch_time(iters, 0, 1, config)
+        simulated = _epoch_time(fw, iters, 0, 1, config)
         produce = [s for s, _, _ in iters[0]]
         consume = [io + c for _, io, c in iters[0]]
-        simulated = two_stage_makespan_sim(produce, consume)
-        assert closed == pytest.approx(simulated)
+        closed = two_stage_makespan(produce, consume)
+        assert simulated == pytest.approx(closed)
+
+
+class TestRetryOverlay:
+    def test_per_trainer_spans_key_on_trainer_tag(self):
+        """A span tagged with its trainer takes that trainer's retries;
+        an aggregated stage lane takes the round's total count and the
+        max backoff."""
+        def io_span(lane, **tags):
+            return {"lane": lane, "name": "memory_io[0]", "cat": "memory_io",
+                    "start": 0.0, "dur": 1.0, "batch": 0, **tags}
+
+        spans = [io_span("gpu1", trainer=1), io_span("nvme")]
+        _inject_retry_spans(spans, [[(1, 0.25)], [(2, 0.5)]])
+        overlays = [(s["lane"], s["retries"], s["start"], s["dur"])
+                    for s in spans if s["cat"] == "retry"]
+        assert overlays == [("gpu1", 2, 0.5, 0.5), ("nvme", 3, 0.5, 0.5)]
 
 
 class TestIoTimeOverlap:

@@ -18,6 +18,7 @@ from repro.pipeline import (
     ExecutionSpec,
     PipelineSpec,
     pipelined_epoch_layout,
+    pipelined_stages,
     stage_graph_makespan,
     stage_graph_reference,
     sync_round_flags,
@@ -110,6 +111,31 @@ class TestStageGraphEngine:
         oracle = stage_graph_reference(times, queue_depth=depth)
         assert ours == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        times=_stage_vectors(),
+        depth=st.sampled_from([None, 1, 2, 4]),
+        window=st.sampled_from([None, 1, 2, 4]),
+    )
+    def test_reference_agreement_with_window_is_exact(self, times, depth,
+                                                      window):
+        """The admission window joins the recurrence: item ``i`` enters
+        the first stage only after item ``i - window`` left the last."""
+        ours = stage_graph_makespan(times, queue_depth=depth, window=window)
+        oracle = stage_graph_reference(times, queue_depth=depth,
+                                       window=window)
+        assert ours == oracle
+
+    def test_window_bounds_items_in_flight(self):
+        # window=1: each item runs the whole graph before the next enters.
+        times = [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]
+        assert stage_graph_makespan(times, window=1) == pytest.approx(9.0)
+        assert stage_graph_makespan(times) == pytest.approx(7.0)
+
+    def test_rejects_bad_window(self):
+        with pytest.raises(ValueError):
+            stage_graph_makespan([[1.0]], window=0)
+
     @settings(max_examples=60, deadline=None)
     @given(times=_stage_vectors(num_items=st.integers(1, 10)))
     def test_pipelined_between_bounds(self, times):
@@ -151,18 +177,16 @@ class TestSyncRoundFlags:
 
 
 class TestPipelinedEpochLayout:
-    def _layout(self, **kwargs):
-        defaults = dict(
-            samples=[1.0, 1.0, 1.0],
-            ios=[0.5, 0.5, 0.5],
-            nets=[0.0, 0.0, 0.0],
-            computes=[2.0, 2.0, 2.0],
-            sync=0.25,
-            net_sync=0.0,
-            pipeline=PipelineSpec(mode="pipelined"),
+    def _layout(self, samples=(1.0, 1.0, 1.0), ios=(0.5, 0.5, 0.5),
+                nets=(0.0, 0.0, 0.0), computes=(2.0, 2.0, 2.0), sync=0.25,
+                net_sync=0.0, pipeline=PipelineSpec(mode="pipelined")):
+        rounds = [list(zip(samples, ios, nets, computes))]
+        return pipelined_epoch_layout(
+            pipelined_stages(halo=any(t > 0 for t in nets)), rounds,
+            sync=sync, net_sync=net_sync,
+            queue_depth=pipeline.queue_depth,
+            staleness=pipeline.staleness, label="test",
         )
-        defaults.update(kwargs)
-        return pipelined_epoch_layout(**defaults)
 
     def test_reconciles(self):
         span, spans, info = self._layout()

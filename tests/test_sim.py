@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pipeline import stage_graph_makespan
 from repro.sim.events import EventLoop
-from repro.sim.pipeline import two_stage_makespan, two_stage_makespan_sim
+from repro.sim.pipeline import two_stage_makespan
 
 
 class TestEventLoop:
@@ -134,7 +135,7 @@ class TestTwoStageMakespan:
         produce = [p for p, _ in times]
         consume = [c for _, c in times]
         a = two_stage_makespan(produce, consume)
-        b = two_stage_makespan_sim(produce, consume)
+        b = stage_graph_makespan([produce, consume])
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 7])
@@ -142,7 +143,7 @@ class TestTwoStageMakespan:
         produce = [1.0, 0.5, 2.0, 0.25, 1.5, 0.75]
         consume = [3.0, 0.1, 1.0, 2.5, 0.2, 1.25]
         a = two_stage_makespan(produce, consume, queue_depth=depth)
-        b = two_stage_makespan_sim(produce, consume, queue_depth=depth)
+        b = stage_graph_makespan([produce, consume], queue_depth=depth)
         assert a == pytest.approx(b, rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -161,9 +162,9 @@ class TestTwoStageMakespan:
         produce = [p for p, _ in times]
         consume = [c for _, c in times]
         a = two_stage_makespan(produce, consume, queue_depth=depth)
-        b = two_stage_makespan_sim(produce, consume, queue_depth=depth)
+        b = stage_graph_makespan([produce, consume], queue_depth=depth)
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
-        unbounded = two_stage_makespan_sim(produce, consume)
+        unbounded = stage_graph_makespan([produce, consume])
         assert b >= unbounded - 1e-9
 
     def test_depth_one_serializes_against_consumer(self):
@@ -173,7 +174,7 @@ class TestTwoStageMakespan:
         produce = [1.0, 1.0, 1.0]
         consume = [2.0, 2.0, 2.0]
         bounded = two_stage_makespan(produce, consume, queue_depth=1)
-        sim = two_stage_makespan_sim(produce, consume, queue_depth=1)
+        sim = stage_graph_makespan([produce, consume], queue_depth=1)
         assert bounded == pytest.approx(sim, rel=1e-9)
         # items start at 0, 3, 6 (wait for consume(i-1)); last ends 6+1+2.
         assert bounded == pytest.approx(9.0)
@@ -184,13 +185,13 @@ class TestTwoStageMakespan:
         consume = [1.0, 0.0, 2.0, 0.0]
         for depth in (None, 1, 2):
             a = two_stage_makespan(produce, consume, queue_depth=depth)
-            b = two_stage_makespan_sim(produce, consume, queue_depth=depth)
+            b = stage_graph_makespan([produce, consume], queue_depth=depth)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
             assert a == pytest.approx(3.0)
 
     def test_sim_rejects_bad_depth(self):
         with pytest.raises(ValueError):
-            two_stage_makespan_sim([1.0], [1.0], queue_depth=0)
+            stage_graph_makespan([[1.0], [1.0]], queue_depth=0)
 
     def test_lower_bounds(self):
         produce = [1.0, 2.0]

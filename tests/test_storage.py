@@ -7,6 +7,7 @@ import pytest
 from repro.config import DEFAULT_COST_MODEL, RunConfig
 from repro.gpu.pcie import PCIeLink
 from repro.graph.features import HashFeatureStore
+from repro.pipeline import stage_graph_makespan
 from repro.sampling import NeighborSampler
 from repro.storage import (
     MISS,
@@ -19,7 +20,6 @@ from repro.storage import (
     build_page_cache,
     nvme_from_cost,
     partition_page_hotness,
-    storage_pipeline_makespan,
 )
 from repro.transfer.storage_loader import (
     StorageTransferReport,
@@ -285,15 +285,23 @@ class TestIOScheduler:
 
 
 class TestStoragePipelineMakespan:
+    """The out-of-core sample -> storage-read -> train pipeline: three
+    stages under an admission window (the prefetch queue depth)."""
+
+    @staticmethod
+    def _makespan(samples, reads, trains, queue_depth=None):
+        return stage_graph_makespan([samples, reads, trains],
+                                    window=queue_depth)
+
     def test_empty(self):
-        assert storage_pipeline_makespan([], [], []) == 0.0
+        assert self._makespan([], [], []) == 0.0
 
     def test_single_batch_is_serial(self):
-        assert storage_pipeline_makespan([1.0], [2.0], [3.0]) == 6.0
+        assert self._makespan([1.0], [2.0], [3.0]) == 6.0
 
     def test_overlap_beats_serial(self):
         samples, reads, trains = [1.0] * 4, [1.0] * 4, [1.0] * 4
-        span = storage_pipeline_makespan(samples, reads, trains)
+        span = self._makespan(samples, reads, trains)
         serial = sum(samples) + sum(reads) + sum(trains)
         assert span < serial
         # Steady state: one batch drains per stage time.
@@ -301,17 +309,16 @@ class TestStoragePipelineMakespan:
 
     def test_bounded_queue_never_faster(self):
         samples, reads, trains = [0.1] * 6, [2.0] * 6, [0.1] * 6
-        free = storage_pipeline_makespan(samples, reads, trains)
-        tight = storage_pipeline_makespan(samples, reads, trains,
-                                          queue_depth=1)
+        free = self._makespan(samples, reads, trains)
+        tight = self._makespan(samples, reads, trains, queue_depth=1)
         assert tight >= free
         assert free >= sum(reads)  # the bottleneck stage is exclusive
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            storage_pipeline_makespan([1.0], [1.0], [])
+            self._makespan([1.0], [1.0], [])
         with pytest.raises(ValueError):
-            storage_pipeline_makespan([1.0], [1.0], [1.0], queue_depth=0)
+            self._makespan([1.0], [1.0], [1.0], queue_depth=0)
 
 
 class TestStorageTransferReport:
