@@ -4,8 +4,8 @@ Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/perf --benchmark-only
 
-Unlike ``python -m repro.bench`` (which writes ``BENCH_repro.json`` and
-gates the baseline), this suite gives statistically robust per-kernel
+Unlike ``python -m repro.bench`` (which writes ``BENCH_repro.json``;
+``python -m repro.gate bench`` gates it), this suite gives statistically robust per-kernel
 distributions — min/median/stddev over many rounds — for local perf work
 and A/B comparison via ``--benchmark-compare``. Each benchmark reuses
 the exact workloads from :mod:`repro.bench.kernels` at the ``small``
@@ -20,11 +20,8 @@ import numpy as np
 import pytest
 
 from repro.bench.kernels import SIZES, _bench_dataset, _node_sets
-from repro.core.reorder import (
-    greedy_reorder,
-    match_degree_matrix,
-    match_degree_matrix_legacy,
-)
+from repro.bench.oracles import match_degree_matrix_legacy
+from repro.core.reorder import greedy_reorder, match_degree_matrix
 from repro.graph.features import MaterializedFeatureStore
 from repro.sampling import FusedIdMap, NeighborSampler
 from repro.sampling.idmap.hash_table import (

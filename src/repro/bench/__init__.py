@@ -1,8 +1,10 @@
 """Wall-clock benchmarks of the hot kernels (``python -m repro.bench``).
 
-:mod:`repro.bench.kernels` defines the named kernels;
-:mod:`repro.bench.__main__` is the CLI that times them, writes
-``BENCH_repro.json`` and gates against
+:mod:`repro.bench.kernels` defines the named kernels and
+:mod:`repro.bench.oracles` the reference implementations they are timed
+and checked against; :mod:`repro.bench.__main__` is the CLI that times
+them and writes ``BENCH_repro.json``. The ``bench`` scenario of
+:mod:`repro.gate` gates them against
 ``benchmarks/results/bench_baseline.json``.
 """
 

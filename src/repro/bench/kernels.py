@@ -5,7 +5,7 @@ returning a JSON-able record: wall-clock times (best-of-``repeats``),
 deterministic work counters, and — where a reference implementation
 exists — the reference time and speedup. Wall-clock numbers vary by
 machine; the work counters are seeded and bit-stable, which is what the
-baseline gate pins (see :mod:`repro.bench.__main__`).
+``bench`` scenario of :mod:`repro.gate` pins.
 
 The nine kernels cover the per-batch hot path end to end, plus the
 cluster tier's one-off partitioning:
@@ -31,16 +31,16 @@ cluster tier's one-off partitioning:
 
 from __future__ import annotations
 
+import platform
 import time
 
 import numpy as np
 
-from repro.core.reorder import (
-    greedy_reorder,
+from repro.bench.oracles import (
     greedy_reorder_legacy,
-    match_degree_matrix,
     match_degree_matrix_legacy,
 )
+from repro.core.reorder import greedy_reorder, match_degree_matrix
 from repro.graph.datasets import Dataset, DatasetSpec, PaperScale
 from repro.graph.features import MaterializedFeatureStore
 from repro.sampling import FusedIdMap, NeighborSampler
@@ -146,8 +146,7 @@ def _node_sets(params, seed):
     ]
 
 
-def bench_match_degree_matrix(size: str, repeats: int, seed: int,
-                              with_reference: bool = True) -> dict:
+def bench_match_degree_matrix(size: str, repeats: int, seed: int) -> dict:
     params = SIZES["match_degree_matrix"][size]
     node_sets = _node_sets(params, seed)
     times = _time(lambda: match_degree_matrix(node_sets), repeats)
@@ -158,7 +157,7 @@ def bench_match_degree_matrix(size: str, repeats: int, seed: int,
         "matrix_sum": round(float(matrix.sum()), 6),
     }
     reference = None
-    if with_reference and size in REFERENCE_SIZES["match_degree_matrix"]:
+    if size in REFERENCE_SIZES["match_degree_matrix"]:
         legacy_times = _time(
             lambda: match_degree_matrix_legacy(node_sets),
             min(repeats, 2),
@@ -185,8 +184,7 @@ def bench_greedy_reorder(size: str, repeats: int, seed: int) -> dict:
     return _record("greedy_reorder", size, params, times, work)
 
 
-def bench_reorder_blocked(size: str, repeats: int, seed: int,
-                          with_reference: bool = True) -> dict:
+def bench_reorder_blocked(size: str, repeats: int, seed: int) -> dict:
     """The full blocked top-k reorder pipeline from raw node sets
     (pair-counted match matrix + candidate-block chain) against the kept
     legacy path (``match_degree_matrix_legacy`` + full argmax sweep).
@@ -203,7 +201,7 @@ def bench_reorder_blocked(size: str, repeats: int, seed: int,
         "order_checksum": int(np.dot(np.arange(len(order)), order)),
     }
     reference = None
-    if with_reference and size in REFERENCE_SIZES["reorder_blocked"]:
+    if size in REFERENCE_SIZES["reorder_blocked"]:
         legacy_times = _time(
             lambda: greedy_reorder_legacy(node_sets), min(repeats, 2)
         )
@@ -288,8 +286,7 @@ def bench_ipc_bytes(size: str, repeats: int, seed: int) -> dict:
     return _record("ipc_bytes", size, params, times, work, reference)
 
 
-def bench_fused_map_insert(size: str, repeats: int, seed: int,
-                           with_reference: bool = True) -> dict:
+def bench_fused_map_insert(size: str, repeats: int, seed: int) -> dict:
     params = SIZES["fused_map_insert"][size]
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, params["id_space"], size=params["num_ids"],
@@ -310,7 +307,7 @@ def bench_fused_map_insert(size: str, repeats: int, seed: int,
         "local_id": table.local_id,
     }
     reference = None
-    if with_reference and size in REFERENCE_SIZES["fused_map_insert"]:
+    if size in REFERENCE_SIZES["fused_map_insert"]:
         def run_exact():
             exact = ExactOpenAddressTable(capacity)
             for gid in ids:
@@ -468,3 +465,39 @@ KERNELS = {
     "halo_gather": bench_halo_gather,
     "greedy_partition": bench_greedy_partition,
 }
+
+
+def run_bench(kernels=None, quick: bool = False, medium: bool = False,
+              repeats: int = 3, seed: int = 0) -> dict:
+    """Run the selected kernels; returns the BENCH document.
+
+    Size tiers nest: ``quick`` runs ``small`` only, ``medium`` adds the
+    ``medium`` sizes (the acceptance sizes of the blocked-reorder and
+    IPC-bytes gates — 256 batches x 4k nodes — kept cheap enough for
+    CI), the default runs everything a kernel defines. Kernels without a
+    given tier are simply skipped at it.
+    """
+    names = list(kernels) if kernels else list(KERNELS)
+    if quick:
+        sizes = ("small",)
+    elif medium:
+        sizes = ("small", "medium")
+    else:
+        sizes = ("small", "medium", "large")
+    records = []
+    for name in names:
+        fn = KERNELS[name]
+        for size in sizes:
+            if size not in SIZES[name]:
+                continue
+            records.append(fn(size, repeats, seed))
+    return {
+        "version": 1,
+        "quick": bool(quick),
+        "medium": bool(medium),
+        "seed": int(seed),
+        "repeats": int(repeats),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "kernels": records,
+    }

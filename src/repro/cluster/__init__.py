@@ -11,8 +11,9 @@ epoch timeline, which still reconciles to the epoch time.
 
 Entry points: pass ``cluster=ClusterSpec(...)`` to
 :func:`repro.api.run` / :meth:`Framework.run_epoch`, or run the scaling
-experiment (``python -m repro.experiments ext_cluster_strong``) and the
-CI smoke gate (``python -m repro.cluster --check-baseline ...``).
+experiment (``python -m repro.experiments ext_cluster_strong``). The
+``cluster`` scenario of ``python -m repro.gate`` gates a 4-node mini
+cluster against its committed baseline.
 """
 
 from repro.cluster.engine import ClusterState

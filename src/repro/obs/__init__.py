@@ -15,11 +15,11 @@ nothing until someone calls :func:`enable` (or scopes a registry with
 
     python -m repro.obs dump --framework fastgl --dataset reddit
     python -m repro.obs compare before.json after.json
-    python -m repro.obs.regress --baseline benchmarks/results/baseline.json
 
-``repro.obs.regress`` is the perf-regression gate: it replays a
-deterministic instrumented suite and fails when any tracked metric
-drifts past its tolerance against the committed baseline.
+The ``obs`` scenario of ``python -m repro.gate`` is the perf-regression
+gate: it replays a deterministic instrumented suite and fails when any
+tracked metric drifts past its tolerance against the committed
+baseline.
 """
 
 from __future__ import annotations

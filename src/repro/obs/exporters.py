@@ -7,8 +7,8 @@ samples (with the mandatory ``+Inf``) plus ``_sum`` and ``_count``.
 
 The JSON snapshot keeps the same information machine-readably (plus the
 p50/p95/p99 summaries), and :func:`flatten_snapshot` turns it into the
-flat ``name{label="value"}`` -> number mapping the regression gate in
-:mod:`repro.obs.regress` diffs.
+flat ``name{label="value"}`` -> number mapping the baseline gate in
+:mod:`repro.gate` diffs.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ Three pieces:
   pipeline, the fully pipelined graph) declared as stages and laid out
   through that engine, returning a reconciling timeline.
 
-``python -m repro.pipeline`` runs the deterministic overlap smoke suite
-and gates it against ``benchmarks/results/pipeline_baseline.json``.
+The ``pipeline`` scenario of ``python -m repro.gate`` runs the
+deterministic overlap smoke suite and gates it against
+``benchmarks/results/pipeline_baseline.json``.
 """
 
 from repro.pipeline.epoch import (

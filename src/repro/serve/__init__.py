@@ -18,9 +18,9 @@ Quickstart::
                       serve_config=ServeConfig(rate=800, num_requests=300))
     print(report.summary())          # p50/p95/p99, throughput, shed rate
 
-or from the command line::
+or from the command line (dgl vs fastgl over a rate sweep)::
 
-    python -m repro.serve --framework fastgl --framework dgl --rate 800
+    python -m repro.experiments ext_serve
 """
 
 from repro.serve.autoscale import Autoscaler, AutoscalerConfig, ScaleEvent

@@ -24,8 +24,9 @@ mechanisms:
   throughput, availability and the cache-hit tier split.
 
 Entry points: :func:`simulate_fleet` (mirrors
-:func:`repro.serve.server.simulate`), ``api.serve(fleet=FleetSpec(...))``
-and ``python -m repro.serve --fleet``.
+:func:`repro.serve.server.simulate`) and
+``api.serve(fleet=FleetSpec(...))``; ``python -m repro.experiments
+ext_fleet_routing`` compares the routing policies.
 """
 
 from __future__ import annotations
@@ -425,8 +426,8 @@ class FleetSim:
 def fleet_demo_dataset(name: str = "fleet-smoke", seed: int = 0):
     """The fleet gate's self-contained dataset: wide feature rows so
     memory IO dominates modeled service time and routing locality is
-    visible in p99 (shared by the CLI smoke gate and the ext_fleet
-    experiments)."""
+    visible in p99 (shared by the ``fleet`` gate scenario and the
+    ext_fleet experiments)."""
     from repro.graph.datasets import Dataset, DatasetSpec, PaperScale
 
     spec = DatasetSpec(
