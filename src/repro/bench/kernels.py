@@ -49,6 +49,7 @@ from repro.sampling.idmap.hash_table import (
     VectorOpenAddressTable,
     table_capacity,
 )
+from repro.utils.arrays import unique_ints
 
 #: Per-kernel parameters at the two benchmark scales. ``large`` for
 #: ``match_degree_matrix`` is the acceptance size: 256 batches of 4k
@@ -291,7 +292,7 @@ def bench_fused_map_insert(size: str, repeats: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, params["id_space"], size=params["num_ids"],
                        dtype=np.int64)
-    capacity = table_capacity(len(np.unique(ids)))
+    capacity = table_capacity(len(unique_ints(ids)))
 
     def run():
         table = VectorOpenAddressTable(capacity)

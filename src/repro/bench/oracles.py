@@ -12,12 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.reorder import _as_match_matrix
+from repro.utils.arrays import unique_ints
 
 
 def match_degree_matrix_legacy(node_sets) -> np.ndarray:
     """Reference O(n^2) pairwise-``np.intersect1d`` implementation of
     :func:`repro.core.reorder.match_degree_matrix`."""
-    unique_sets = [np.unique(np.asarray(s, dtype=np.int64)) for s in node_sets]
+    unique_sets = [unique_ints(np.asarray(s, dtype=np.int64))
+                   for s in node_sets]
     n = len(unique_sets)
     matrix = np.zeros((n, n), dtype=np.float64)
     for i in range(n):

@@ -42,6 +42,7 @@ from repro.storage.cache import (
     LRUPageCache,
     PartitionAwarePageCache,
 )
+from repro.utils.arrays import unique_ints
 
 #: Resident-marker frame for cached remote rows — the sim caches row
 #: *identity*, not payload.
@@ -184,7 +185,7 @@ class HaloExchange:
         if self.num_nodes <= 1:
             return report
         ids = np.asarray(input_nodes, dtype=np.int64)
-        remote = np.unique(ids[self.assignment[ids] != node])
+        remote = unique_ints(ids[self.assignment[ids] != node])
         report.requested_rows = int(remote.size)
         if remote.size == 0:
             return report

@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.arrays import unique_ints
+
 
 def match_degree(nodes_a: np.ndarray, nodes_b: np.ndarray) -> float:
     """The paper's match degree ``M_ij = N_o / min(N_i, N_j)``.
 
     Inputs are node-ID arrays (duplicates tolerated; uniqued internally).
     """
-    a = np.unique(np.asarray(nodes_a, dtype=np.int64))
-    b = np.unique(np.asarray(nodes_b, dtype=np.int64))
+    a = unique_ints(np.asarray(nodes_a, dtype=np.int64))
+    b = unique_ints(np.asarray(nodes_b, dtype=np.int64))
     if len(a) == 0 or len(b) == 0:
         return 0.0
     overlap = len(np.intersect1d(a, b, assume_unique=True))
@@ -110,7 +112,7 @@ class MatchState:
         if ids is None:
             self.reset()
             return
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        ids = unique_ints(np.asarray(ids, dtype=np.int64))
         self._resident = np.setdiff1d(self._resident, ids,
                                       assume_unique=True)
         self._last_load_ids = np.empty(0, dtype=np.int64)

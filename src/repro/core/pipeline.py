@@ -29,6 +29,7 @@ from repro.sampling import FusedIdMap, NeighborSampler
 from repro.transfer.buffer import ResidentFeatureBuffer
 from repro.transfer.cache import PresampleCachePolicy
 from repro.transfer.loader import MatchLoader
+from repro.utils.arrays import unique_ints
 from repro.utils.rng import RngFactory
 
 
@@ -193,7 +194,7 @@ class FastGLTrainer:
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, seeds: np.ndarray) -> float:
         """Accuracy of the current model on ``seeds`` (sampled inference)."""
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+        seeds = unique_ints(np.asarray(seeds, dtype=np.int64))
         subgraph = self.sampler.sample(seeds)
         with no_grad():
             features = Tensor(

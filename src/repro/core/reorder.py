@@ -40,6 +40,8 @@ from itertools import permutations
 
 import numpy as np
 
+from repro.utils.arrays import unique_ints
+
 #: Default candidate-block width of the blocked top-k greedy chain.
 #: Each batch precomputes this many best match partners; a step only
 #: falls back to a full row scan when its block is exhausted.
@@ -102,7 +104,7 @@ def _overlap_paircount(batch: np.ndarray, values: np.ndarray, n: int,
     starts = np.flatnonzero(new_run)
     run_len = np.diff(np.append(starts, len(ids)))
     key_blocks = []
-    for m in np.unique(run_len):
+    for m in unique_ints(run_len):
         m = int(m)
         if m < 2:  # IDs private to one batch contribute no pair
             continue

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GraphError
+from repro.utils.arrays import unique_ints
 
 
 @dataclass(frozen=True)
@@ -117,12 +118,14 @@ class CSRGraph:
         if drop_self_loops:
             keep = src != dst
             src, dst = src[keep], dst[keep]
-        if dedup and len(src):
-            key = src * np.int64(num_nodes) + dst
-            key = np.unique(key)
-            src, dst = key // num_nodes, key % num_nodes
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        # One sort of the (src, dst) key orders rows and their neighbors;
+        # dedup is then an adjacent-difference mask on the sorted key.
+        key = src * np.int64(num_nodes) + dst
+        if dedup:
+            key = unique_ints(key)
+        else:
+            key.sort()
+        src, dst = np.divmod(key, np.int64(num_nodes))
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
         return cls(indptr=indptr, indices=dst)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.utils.arrays import unique_ints
 from repro.utils.rng import ensure_rng
 
 
@@ -116,7 +117,7 @@ def partition_stats(graph, assignment,
     if edge_cut:
         pairs = (src_part[cut_mask].astype(np.int64) * graph.num_nodes
                  + graph.indices[cut_mask])
-        unique_pairs = np.unique(pairs)
+        unique_pairs = unique_ints(pairs)
         halo = np.bincount(unique_pairs // graph.num_nodes,
                            minlength=num_parts)
     return PartitionStats(

@@ -109,27 +109,6 @@ class MapResult:
     report: IdMapReport
 
 
-def first_occurrence_unique(ids: np.ndarray) -> tuple:
-    """``(unique, inverse)`` with unique ordered by first occurrence.
-
-    This is the mapping a deterministic sequential ID map produces; all GPU
-    variants here emit the same mapping (the concurrency harness in
-    :mod:`repro.sampling.idmap.fused` demonstrates that *any* interleaving
-    yields a valid bijection, merely a permuted one).
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    unique_sorted, first_idx, inverse_sorted = np.unique(
-        ids, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_idx, kind="stable")
-    unique = unique_sorted[order]
-    # rank[k] = local id of unique_sorted[k]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    inverse = rank[inverse_sorted]
-    return unique, inverse
-
-
 class IdMap(ABC):
     """An ID-map strategy; stateless apart from configuration."""
 

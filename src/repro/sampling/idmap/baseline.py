@@ -22,10 +22,10 @@ from repro.sampling.idmap.base import (
     IdMap,
     IdMapReport,
     MapResult,
-    first_occurrence_unique,
     record_idmap_metrics,
 )
 from repro.sampling.idmap.hash_table import estimate_probe_stats, table_capacity
+from repro.utils.arrays import first_occurrence_unique
 
 
 class BaselineIdMap(IdMap):

@@ -23,7 +23,6 @@ from repro.sampling.idmap.base import (
     IdMap,
     IdMapReport,
     MapResult,
-    first_occurrence_unique,
     record_idmap_metrics,
 )
 from repro.sampling.idmap.hash_table import (
@@ -31,6 +30,7 @@ from repro.sampling.idmap.hash_table import (
     estimate_probe_stats,
     table_capacity,
 )
+from repro.utils.arrays import first_occurrence_unique, unique_ints
 from repro.utils.rng import ensure_rng
 
 
@@ -118,7 +118,7 @@ def simulate_concurrent_fused_map(
     """
     ids = np.asarray(ids, dtype=np.int64)
     rng = ensure_rng(rng)
-    capacity = table_capacity(len(np.unique(ids))) if len(ids) else 2
+    capacity = table_capacity(len(unique_ints(ids))) if len(ids) else 2
     table = ExactOpenAddressTable(capacity)
     threads = [
         _fused_map_thread(table, ids[t::num_threads])

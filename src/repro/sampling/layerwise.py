@@ -17,6 +17,7 @@ from repro.graph.csr import CSRGraph
 from repro.sampling.base import Sampler
 from repro.sampling.idmap import FusedIdMap, IdMap
 from repro.sampling.subgraph import LayerBlock, SampledSubgraph
+from repro.utils.arrays import unique_ints
 from repro.utils.rng import ensure_rng
 
 
@@ -56,7 +57,7 @@ class LayerWiseSampler(Sampler):
     def _edges_into(self, frontier: np.ndarray, candidates: np.ndarray):
         """(edge_dst_pos, edge_src_global): candidate->frontier edges that
         exist in the graph."""
-        candidate_set = np.sort(np.unique(candidates))
+        candidate_set = unique_ints(candidates)
         edge_dst, edge_src = [], []
         for position, node in enumerate(frontier):
             neighbors = self.graph.neighbors(int(node))
@@ -78,7 +79,7 @@ class LayerWiseSampler(Sampler):
         seeds = np.asarray(seeds, dtype=np.int64)
         if len(seeds) == 0:
             raise SamplingError("seeds must be non-empty")
-        if len(np.unique(seeds)) != len(seeds):
+        if len(unique_ints(seeds)) != len(seeds):
             raise SamplingError("seeds must be unique")
 
         frontier = seeds

@@ -15,6 +15,7 @@ from repro.graph.csr import CSRGraph
 from repro.sampling.base import Sampler
 from repro.sampling.idmap import FusedIdMap, IdMap
 from repro.sampling.subgraph import LayerBlock, SampledSubgraph
+from repro.utils.arrays import unique_ints
 from repro.utils.rng import ensure_rng
 
 _CHUNK_ROWS = 8192
@@ -128,7 +129,7 @@ class NeighborSampler(Sampler):
         seeds = np.asarray(seeds, dtype=np.int64)
         if len(seeds) == 0:
             raise SamplingError("seeds must be non-empty")
-        if len(np.unique(seeds)) != len(seeds):
+        if len(unique_ints(seeds)) != len(seeds):
             raise SamplingError("seeds must be unique")
 
         layers = []

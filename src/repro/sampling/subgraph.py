@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sampling.idmap.base import IdMapReport
+from repro.utils.arrays import unique_ints
 
 
 @dataclass
@@ -79,7 +80,7 @@ class SampledSubgraph:
     #: Total neighbor draws performed by the sampler (cost-model input).
     num_sampled_edges: int = 0
     extras: dict = field(default_factory=dict)
-    #: Memoized ``np.unique(input_nodes)`` (see :meth:`unique_input_nodes`).
+    #: Memoized ``unique_ints(input_nodes)`` (see :meth:`unique_input_nodes`).
     _unique_input_cache: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -105,7 +106,7 @@ class SampledSubgraph:
         not mutate the returned array.
         """
         if self._unique_input_cache is None:
-            self._unique_input_cache = np.unique(
+            self._unique_input_cache = unique_ints(
                 np.asarray(self.input_nodes, dtype=np.int64)
             )
         return self._unique_input_cache

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.match import match_degree
 from repro.core.reorder import greedy_reorder, match_degree_matrix
 from repro.serve.request import InferenceRequest
+from repro.utils.arrays import unique_ints
 
 
 @dataclass
@@ -51,7 +52,7 @@ class MicroBatch:
         """Union of the member requests' seed nodes (sorted unique)."""
         if not self.requests:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([r.seeds for r in self.requests]))
+        return unique_ints(np.concatenate([r.seeds for r in self.requests]))
 
     @property
     def batching_delay(self) -> float:
@@ -173,7 +174,7 @@ def plan_dispatch_order(batches: list) -> list:
     """
     if len(batches) < 3:
         return list(range(len(batches)))
-    # MicroBatch.seeds is already ``np.unique`` output, so the dedup
+    # MicroBatch.seeds is already sorted unique, so the dedup
     # pass of the pair-counting matrix kernel can be skipped; the chain
     # itself runs the blocked top-k walk (bit-identical to the legacy
     # sweep, lowest index winning ties).

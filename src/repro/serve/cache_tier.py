@@ -19,7 +19,7 @@ arrival order), so fleet runs replay bit-identically.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,16 +75,30 @@ class CacheTier:
     ``(fresh_hits, stale, misses)``; ``insert(nodes, now)`` (re)fills
     rows, evicting the oldest entries FIFO when full. All decisions are
     pure functions of the call sequence — no clocks, no RNG.
+
+    The index is dense: ``slot_of[node]`` (grown on demand, ``-1`` when
+    absent) and per-slot ``node_of``/``inserted_at``/``stamp_of``, so a
+    lookup is a few vectorized masks. Node IDs must be non-negative.
     """
 
     def __init__(self, config: CacheTierConfig, arena=None) -> None:
         self.config = config
         self.stats = CacheTierStats()
-        #: node id -> (slot, inserted_at); OrderedDict gives FIFO age.
-        self._index: OrderedDict = OrderedDict()
-        self._free_slots = list(range(config.capacity_rows - 1, -1, -1))
+        capacity = config.capacity_rows
+        self._slot_of = np.full(0, -1, dtype=np.int64)
+        self._node_of = np.full(capacity, -1, dtype=np.int64)
+        self._inserted_at = np.zeros(capacity, dtype=np.float64)
+        #: Insertion stamp of each slot; FIFO age is stamp order.
+        self._stamp_of = np.zeros(capacity, dtype=np.int64)
+        self._next_stamp = 0
+        #: ``(stamp, slot)`` in insertion order. An entry is live while
+        #: its slot still carries its stamp: a re-insert appends a new
+        #: entry, which moves the row to the young end.
+        self._fifo: deque = deque()
+        #: Slots are handed out in order and never freed, only reused.
+        self._used = 0
         self._owns_arena = False
-        nbytes = config.capacity_rows * config.row_bytes
+        nbytes = capacity * config.row_bytes
         if arena is None:
             arena = self._try_arena(nbytes)
             self._owns_arena = arena is not None
@@ -106,7 +120,7 @@ class CacheTier:
         return self._arena is not None
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._used
 
     def _row(self, slot: int) -> np.ndarray:
         offset = slot * self.config.row_bytes
@@ -115,60 +129,93 @@ class CacheTier:
                               buffer=self._arena.buf, offset=offset)
         return self._slab[offset:offset + self.config.row_bytes]
 
-    def _fresh(self, inserted_at: float, now: float) -> bool:
-        ttl = self.config.ttl_s
-        return ttl <= 0 or (now - inserted_at) <= ttl
-
     def lookup(self, nodes: np.ndarray, now: float):
-        """Partition ``nodes`` into ``(fresh_hits, stale, misses)``.
+        """Partition ``nodes`` into ``(fresh_hits, stale, misses)``, each
+        in input order.
 
         Stale rows stay indexed (their slot is reused on re-insert);
         only the counters distinguish them from fresh hits.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        hits, stale, misses = [], [], []
-        for node in nodes.tolist():
-            entry = self._index.get(node)
-            if entry is None:
-                misses.append(node)
-            elif self._fresh(entry[1], now):
-                hits.append(node)
-            else:
-                stale.append(node)
+        slots = np.full(len(nodes), -1, dtype=np.int64)
+        known = (nodes >= 0) & (nodes < len(self._slot_of))
+        slots[known] = self._slot_of[nodes[known]]
+        cached = slots >= 0
+        fresh = cached
+        if self.config.ttl_s > 0:
+            fresh = cached.copy()
+            fresh[cached] = ((now - self._inserted_at[slots[cached]])
+                             <= self.config.ttl_s)
+        hits = nodes[fresh]
+        stale = nodes[cached & ~fresh]
+        misses = nodes[~cached]
         self.stats.lookups += len(nodes)
         self.stats.hits += len(hits)
         self.stats.stale += len(stale)
         self.stats.misses += len(misses)
-        return (np.asarray(hits, dtype=np.int64),
-                np.asarray(stale, dtype=np.int64),
-                np.asarray(misses, dtype=np.int64))
+        return hits, stale, misses
 
     def insert(self, nodes: np.ndarray, now: float) -> int:
         """(Re)fill rows for ``nodes`` at time ``now``; returns how many
         evictions that cost. Re-inserting a present row refreshes its
         timestamp in place (no eviction)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = np.ascontiguousarray(nodes, dtype=np.int64)
+        if len(nodes) == 0:
+            return 0
+        if nodes.min() < 0:
+            raise ValueError("cache tier node ids must be non-negative")
+        self._reserve(int(nodes.max()) + 1)
+        slot_of, node_of = self._slot_of, self._node_of
+        stamp_of, inserted_at = self._stamp_of, self._inserted_at
+        # The payload tag of a row is its node id's bytes.
+        tags = nodes.view(np.uint8).reshape(len(nodes), -1)
+        width = min(tags.shape[1], self.config.row_bytes)
         evicted = 0
-        for node in nodes.tolist():
-            entry = self._index.pop(node, None)
-            if entry is not None:
-                slot = entry[0]
-            else:
-                if not self._free_slots:
-                    _, (slot, _) = self._index.popitem(last=False)
-                    evicted += 1
+        for position, node in enumerate(nodes.tolist()):
+            slot = int(slot_of[node])
+            if slot < 0:
+                if self._used < len(node_of):
+                    slot = self._used
+                    self._used += 1
                 else:
-                    slot = self._free_slots.pop()
+                    slot = self._pop_oldest()
+                    slot_of[node_of[slot]] = -1
+                    evicted += 1
+                node_of[slot] = node
+                slot_of[node] = slot
                 # Touch the payload slot: the write is what a real tier
                 # pays; the simulation only needs the addressing right.
-                tag = np.frombuffer(np.int64(node).tobytes(),
-                                    dtype=np.uint8)
-                width = min(len(tag), self.config.row_bytes)
-                self._row(slot)[:width] = tag[:width]
-            self._index[node] = (slot, now)
-            self.stats.inserts += 1
+                self._row(slot)[:width] = tags[position, :width]
+            stamp_of[slot] = self._next_stamp
+            inserted_at[slot] = now
+            self._fifo.append((self._next_stamp, slot))
+            self._next_stamp += 1
+        if len(self._fifo) > 2 * len(node_of):
+            self._compact_fifo()
+        self.stats.inserts += len(nodes)
         self.stats.evictions += evicted
         return evicted
+
+    def _reserve(self, size: int) -> None:
+        """Grow ``slot_of`` to cover node IDs below ``size``."""
+        if size > len(self._slot_of):
+            grown = np.full(max(size, 2 * len(self._slot_of)), -1,
+                            dtype=np.int64)
+            grown[:len(self._slot_of)] = self._slot_of
+            self._slot_of = grown
+
+    def _pop_oldest(self) -> int:
+        """Slot of the oldest live FIFO entry, removed from the queue."""
+        while True:
+            stamp, slot = self._fifo.popleft()
+            if self._stamp_of[slot] == stamp:
+                return slot
+
+    def _compact_fifo(self) -> None:
+        """Drop superseded FIFO entries (every used slot is live)."""
+        order = np.argsort(self._stamp_of[:self._used])
+        self._fifo = deque(zip(self._stamp_of[order].tolist(),
+                               order.tolist()))
 
     def close(self) -> None:
         """Release the arena segment (idempotent; owning tiers only)."""

@@ -31,6 +31,7 @@ from repro.serve.batcher import MicroBatcher, select_next_batch
 from repro.serve.profiles import ServiceTimes, ServingProfile
 from repro.serve.request import RequestQueue, build_schedule
 from repro.sim.events import TIMEOUT, EventLoop
+from repro.utils.arrays import unique_ints
 
 #: Latency-scaled histogram buckets (seconds) for serving metrics.
 LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
@@ -516,7 +517,7 @@ class ReplicaEngine:
                     self._exit(request, loop.now)
             if not live:
                 continue
-            seeds = np.unique(np.concatenate(
+            seeds = unique_ints(np.concatenate(
                 [r.seeds for r in live]))
             times, subgraph, transfer = profile.service(seeds)
             if self.transfer_total is None:

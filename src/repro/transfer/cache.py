@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.features import FeatureStore
+from repro.utils.arrays import unique_ints
 from repro.utils.rng import ensure_rng
 
 
@@ -23,7 +24,7 @@ class StaticFeatureCache:
     """A pinned set of node IDs whose features live on the device."""
 
     def __init__(self, cached_ids: np.ndarray, bytes_per_node: int) -> None:
-        self.cached_ids = np.unique(np.asarray(cached_ids, dtype=np.int64))
+        self.cached_ids = unique_ints(np.asarray(cached_ids, dtype=np.int64))
         self.bytes_per_node = int(bytes_per_node)
         self.hits = 0
         self.misses = 0

@@ -13,7 +13,7 @@ from repro.sampling.idmap import (
     FusedIdMap,
     IdMapReport,
 )
-from repro.sampling.idmap.base import first_occurrence_unique
+from repro.utils.arrays import first_occurrence_unique
 from repro.sampling.idmap.fused import simulate_concurrent_fused_map
 
 ALL_MAPS = [BaselineIdMap(), FusedIdMap(), CpuIdMap()]
