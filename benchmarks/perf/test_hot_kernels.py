@@ -48,7 +48,7 @@ def test_match_degree_matrix_legacy_reference(benchmark, match_sets):
 
 
 def test_greedy_reorder(benchmark):
-    node_sets = _node_sets(SIZES["greedy_reorder"]["small"], SEED)
+    node_sets = _node_sets(SIZES["reorder_blocked"]["small"], SEED)
     order = benchmark(greedy_reorder, node_sets)
     assert sorted(order) == list(range(len(node_sets)))
 

@@ -42,7 +42,7 @@ from repro.frameworks import (
 )
 from repro.api import run, serve
 from repro.pipeline import ExecutionSpec, PipelineSpec
-from repro.core.pipeline import FastGLTrainer, TrainHistory
+from repro.frameworks.trainer import FastGLTrainer, TrainHistory
 from repro.graph import CSRGraph, Dataset, DATASETS, get_dataset
 from repro.gpu import GPUSpec, RTX3090
 from repro.sampling import (

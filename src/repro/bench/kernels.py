@@ -7,16 +7,15 @@ exists — the reference time and speedup. Wall-clock numbers vary by
 machine; the work counters are seeded and bit-stable, which is what the
 ``bench`` scenario of :mod:`repro.gate` pins.
 
-The nine kernels cover the per-batch hot path end to end, plus the
+The eight kernels cover the per-batch hot path end to end, plus the
 cluster tier's one-off partitioning:
 
 * ``match_degree_matrix`` — the Reorder strategy's pairwise overlap
   product (vs the legacy O(n^2) ``np.intersect1d`` loop);
-* ``greedy_reorder`` — Algorithm 1 chaining from raw node sets;
-* ``reorder_blocked`` — the blocked top-k reorder pipeline (pair-counted
-  matrix + candidate-block chain) vs the kept legacy path
-  (``match_degree_matrix_legacy`` + full argmax sweep), orders asserted
-  identical;
+* ``reorder_blocked`` — Algorithm 1 chaining from raw node sets: the
+  blocked top-k reorder pipeline (pair-counted matrix + candidate-block
+  chain) vs the kept legacy path (``match_degree_matrix_legacy`` + full
+  argmax sweep), orders asserted identical;
 * ``ipc_bytes`` — the executor's transport: bytes over the worker pipes
   with the shared-memory arena on vs off, results asserted identical;
 * ``fused_map_insert`` — the batch-vectorized Algorithm 2 hash-table
@@ -56,10 +55,6 @@ from repro.utils.arrays import unique_ints
 #: nodes (the ISSUE's >=10x speedup target is measured there).
 SIZES = {
     "match_degree_matrix": {
-        "small": {"batches": 48, "nodes": 1024, "id_space": 50_000},
-        "large": {"batches": 256, "nodes": 4096, "id_space": 200_000},
-    },
-    "greedy_reorder": {
         "small": {"batches": 48, "nodes": 1024, "id_space": 50_000},
         "large": {"batches": 256, "nodes": 4096, "id_space": 200_000},
     },
@@ -169,20 +164,6 @@ def bench_match_degree_matrix(size: str, repeats: int, seed: int) -> dict:
         }
     return _record("match_degree_matrix", size, params, times, work,
                    reference)
-
-
-def bench_greedy_reorder(size: str, repeats: int, seed: int) -> dict:
-    params = SIZES["greedy_reorder"][size]
-    node_sets = _node_sets(params, seed)
-    times = _time(
-        lambda: greedy_reorder(node_sets, assume_unique=False), repeats
-    )
-    order = greedy_reorder(node_sets)
-    work = {
-        "batches": params["batches"],
-        "order_checksum": int(np.dot(np.arange(len(order)), order)),
-    }
-    return _record("greedy_reorder", size, params, times, work)
 
 
 def bench_reorder_blocked(size: str, repeats: int, seed: int) -> dict:
@@ -457,7 +438,6 @@ def bench_greedy_partition(size: str, repeats: int, seed: int) -> dict:
 #: Kernel name -> callable(size, repeats, seed) in report order.
 KERNELS = {
     "match_degree_matrix": bench_match_degree_matrix,
-    "greedy_reorder": bench_greedy_reorder,
     "reorder_blocked": bench_reorder_blocked,
     "ipc_bytes": bench_ipc_bytes,
     "fused_map_insert": bench_fused_map_insert,

@@ -12,8 +12,10 @@
 * Fused-Map sampling lives in :mod:`repro.sampling.idmap.fused`;
   :mod:`repro.core.fused_map` re-exports it as part of the contribution
   surface.
-* :mod:`repro.core.pipeline` — the FastGL training pipeline tying all
-  three together (the paper's Fig. 5).
+
+The training pipeline tying all three together (the paper's Fig. 5) is
+:class:`repro.frameworks.FastGLFramework`; :class:`repro.FastGLTrainer`
+wraps its epoch loop with a persistent model.
 """
 
 from repro.core.match import MatchResult, MatchState, match_degree, match_split
@@ -30,11 +32,8 @@ from repro.core.memory_aware import (
     ComputeReport,
 )
 from repro.core.fused_map import FusedIdMap, simulate_concurrent_fused_map
-from repro.core.pipeline import FastGLTrainer, TrainHistory
 
 __all__ = [
-    "FastGLTrainer",
-    "TrainHistory",
     "MatchResult",
     "MatchState",
     "match_degree",

@@ -25,8 +25,12 @@ def match_degree(nodes_a: np.ndarray, nodes_b: np.ndarray) -> float:
     b = unique_ints(np.asarray(nodes_b, dtype=np.int64))
     if len(a) == 0 or len(b) == 0:
         return 0.0
-    overlap = len(np.intersect1d(a, b, assume_unique=True))
-    return overlap / min(len(a), len(b))
+    # Both sides are sorted and unique: binary-search the smaller set in
+    # the larger one instead of concatenating and re-sorting them.
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    slots = np.minimum(np.searchsorted(large, small), len(large) - 1)
+    overlap = int(np.count_nonzero(large[slots] == small))
+    return overlap / len(small)
 
 
 @dataclass

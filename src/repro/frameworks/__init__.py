@@ -5,7 +5,7 @@ Names resolve through the registry (:func:`create`,
 remains as a compatibility alias.
 """
 
-from repro.frameworks.base import EpochReport, Framework, PhaseTimes
+from repro.frameworks.base import EpochReport, Framework, PhaseTimes, TrainState
 from repro.frameworks.registry import (
     FRAMEWORKS,
     available_frameworks,
@@ -38,6 +38,7 @@ __all__ = [
     "EpochReport",
     "Framework",
     "PhaseTimes",
+    "TrainState",
     "PyGFramework",
     "DGLFramework",
     "OutOfCoreDGLFramework",

@@ -35,7 +35,7 @@ from repro.gpu.pcie import link_from_cost
 from repro.gpu.spec import GPUSpec, RTX3090
 from repro.graph.datasets import Dataset
 from repro.graph.partition import MinibatchPlan
-from repro.nn import Adam, Tensor, build_model, cross_entropy
+from repro.nn import Adam, Module, Tensor, build_model, cross_entropy
 from repro.obs import get_registry
 from repro.parallel import ParallelExecutor
 from repro.pipeline import (
@@ -229,6 +229,29 @@ class EpochReport:
         )
 
 
+@dataclass
+class TrainState:
+    """Model and optimizer that persist across ``run_epoch`` calls.
+
+    ``epochs_done`` offsets the epoch-shuffle stream, so resuming a
+    state continues the batch order instead of replaying epoch 0.
+    """
+
+    model: Module
+    optimizer: Adam
+    epochs_done: int = 0
+
+    @classmethod
+    def build(cls, model_name: str, dataset: Dataset, config: RunConfig,
+              seed: int, learning_rate: float = 3e-3) -> "TrainState":
+        model = build_model(
+            model_name, dataset.feature_dim, dataset.num_classes,
+            hidden_dim=config.hidden_dim, num_layers=config.num_layers,
+            seed=seed,
+        )
+        return cls(model, Adam(model.parameters(), lr=learning_rate))
+
+
 def _chunk(batches: list, num_chunks: int) -> list:
     """Split ``batches`` into ``num_chunks`` contiguous chunks (sizes differ
     by at most one)."""
@@ -390,8 +413,13 @@ class Framework:
         model_name: str = "gcn",
         sampler: Sampler | None = None,
         execution: ExecutionSpec | None = None,
+        state: TrainState | None = None,
     ) -> EpochReport:
         """Execute one epoch and return its full report.
+
+        ``state`` (a :class:`TrainState`) trains a caller-owned model and
+        optimizer and advances its ``epochs_done``; without one,
+        ``config.train_model`` trains a fresh model seeded from the run.
 
         ``execution`` (an :class:`~repro.pipeline.ExecutionSpec`)
         bundles every execution-environment knob:
@@ -433,7 +461,7 @@ class Framework:
 
                 stack.enter_context(fault_scope(execution.faults))
             return self._run_epoch(dataset, config, model_name, sampler,
-                                   execution)
+                                   execution, state)
 
     def _run_epoch(
         self,
@@ -442,6 +470,7 @@ class Framework:
         model_name: str,
         sampler: Sampler | None,
         execution: ExecutionSpec,
+        state: TrainState | None,
     ) -> EpochReport:
         jobs = execution.jobs
         cluster = execution.cluster
@@ -477,15 +506,11 @@ class Framework:
             for t in range(trainers)
         ]
 
-        model = None
-        optimizer = None
-        if config.train_model:
-            model = build_model(
-                model_name, dataset.feature_dim, dataset.num_classes,
-                hidden_dim=config.hidden_dim, num_layers=config.num_layers,
-                seed=rngs.child_seed("model"),
-            )
-            optimizer = Adam(model.parameters(), lr=3e-3)
+        if state is None and config.train_model:
+            state = TrainState.build(model_name, dataset, config,
+                                     rngs.child_seed("model"))
+        model = state.model if state is not None else None
+        first_epoch = state.epochs_done if state is not None else 0
         param_bytes = (
             model.parameter_bytes()
             if model is not None
@@ -545,7 +570,8 @@ class Framework:
                             "shm_bytes": 0, "spilled_bytes": 0}
 
         for epoch in range(max(1, config.num_epochs)):
-            batches = plan.batches(rngs.child(f"epoch-shuffle:{epoch}"))
+            batches = plan.batches(
+                rngs.child(f"epoch-shuffle:{first_epoch + epoch}"))
             if cluster_state is not None:
                 # Owner-compute placement: each node trains the seeds
                 # its partition owns (identical to _chunk at one node).
@@ -648,9 +674,9 @@ class Framework:
                         )
                         logits = model(sg, features)
                         loss = cross_entropy(logits, dataset.labels[seeds])
-                        optimizer.zero_grad()
+                        state.optimizer.zero_grad()
                         loss.backward()
-                        optimizer.step()
+                        state.optimizer.step()
                         losses.append(float(loss.data))
 
                     usage = rec["usage"]
@@ -696,6 +722,8 @@ class Framework:
                 net_sync_total = info["num_syncs"] * net_sync
                 phases.network += net_sync_total
                 obs_phase["network"].observe(net_sync_total)
+            if state is not None:
+                state.epochs_done += 1
         extras = {"iterations": iteration_log,
                   "num_trainers": trainers,
                   "timeline": timeline,

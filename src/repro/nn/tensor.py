@@ -90,18 +90,22 @@ class Tensor:
         """Backpropagate from this tensor (default seed: ones)."""
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor without grad")
+        # Post-order DFS over the tape, iterative: a recursive closure
+        # would reference itself, and that cycle would keep every
+        # tensor of the graph alive until the cyclic GC runs.
         topo: list = []
-        seen = set()
-
-        def visit(node: "Tensor") -> None:
-            if id(node) in seen or not node.requires_grad:
-                return
-            seen.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            topo.append(node)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in seen and parent.requires_grad:
+                    seen.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         if grad is None:
             grad = np.ones_like(self.data)
         self._accumulate(np.asarray(grad, dtype=np.float32))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import RunConfig
-from repro.core.pipeline import FastGLTrainer
+from repro.frameworks.trainer import FastGLTrainer
 from repro.nn import MLP, Tensor, build_model
 
 

@@ -4,9 +4,28 @@ Docs rot; these tests run the same call sequences the API tour shows, on
 the tiny test dataset, so a breaking rename fails loudly here.
 """
 
+import runpy
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from repro.config import DEFAULT_COST_MODEL, RunConfig
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parents[1] / "examples").glob("*.py")
+)
+
+
+def test_examples_found():
+    assert len(EXAMPLES) >= 6
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
+def test_example_imports(path):
+    """Every example script imports cleanly; its ``main`` is not run."""
+    namespace = runpy.run_path(str(path), run_name="example")
+    assert callable(namespace["main"])
 
 
 def test_dataset_surface(tiny_dataset):

@@ -33,6 +33,19 @@ class TestMatchDegree:
     def test_duplicates_tolerated(self):
         assert match_degree(np.array([1, 1, 2]), np.array([1, 2, 2])) == 1.0
 
+    def test_matches_intersect1d_on_sorted_unique_pairs(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            high = int(rng.integers(1, 60))
+            a, b = (np.sort(rng.choice(high, size=int(rng.integers(0, high)),
+                                       replace=False)) for _ in range(2))
+            expected = 0.0
+            if len(a) and len(b):
+                overlap = len(np.intersect1d(a, b, assume_unique=True))
+                expected = overlap / min(len(a), len(b))
+            assert match_degree(a, b) == expected
+            assert match_degree(b, a) == expected
+
 
 class TestMatchSplit:
     def test_partition(self):

@@ -1,5 +1,7 @@
 """Tests for the autograd engine (numerical gradient checks)."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,38 @@ class TestEngine:
         x = Tensor(np.ones(3), requires_grad=True)
         (x * 2.0).backward(grad=np.array([1.0, 0.0, 2.0]))
         np.testing.assert_allclose(x.grad, [2.0, 0.0, 4.0])
+
+    def test_backward_leaves_no_reference_cycles(self, tiny_dataset):
+        """A training step's graph is freed by reference counting alone,
+        not left for the cyclic collector."""
+        from repro.nn import build_model, cross_entropy
+        from repro.sampling import NeighborSampler
+
+        seeds = tiny_dataset.train_ids[:16]
+        sampler = NeighborSampler(tiny_dataset.graph, (3, 3), rng=0)
+        subgraph = sampler.sample(seeds)
+        features = Tensor(tiny_dataset.features.gather(subgraph.input_nodes))
+        model = build_model("gcn", tiny_dataset.feature_dim,
+                            tiny_dataset.num_classes, hidden_dim=8,
+                            num_layers=2, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = cross_entropy(model(subgraph, features),
+                                 tiny_dataset.labels[seeds])
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_backward_through_a_deep_chain(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        y = x
+        for _ in range(5000):  # deeper than the interpreter's recursion
+            y = y + 1.0
+        y.backward()
+        np.testing.assert_allclose(x.grad, [1.0])
 
     def test_float32_storage(self):
         x = Tensor(np.ones(3, dtype=np.float64))
