@@ -48,8 +48,8 @@ def main(argv=None) -> int:
                         help="small sizes only")
     parser.add_argument("--medium", action="store_true",
                         help="small + medium sizes (the gated tier: "
-                             "includes the 256x4k reorder and the "
-                             "jobs=4 IPC-bytes acceptance workloads)")
+                             "includes the 256x4k reorder acceptance "
+                             "workload)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per kernel (default 3; "
                              "best is reported)")

@@ -7,7 +7,7 @@ exists — the reference time and speedup. Wall-clock numbers vary by
 machine; the work counters are seeded and bit-stable, which is what the
 ``bench`` scenario of :mod:`repro.gate` pins.
 
-The eight kernels cover the per-batch hot path end to end, plus the
+The seven kernels cover the per-batch hot path end to end, plus the
 cluster tier's one-off partitioning:
 
 * ``match_degree_matrix`` — the Reorder strategy's pairwise overlap
@@ -16,8 +16,6 @@ cluster tier's one-off partitioning:
   blocked top-k reorder pipeline (pair-counted matrix + candidate-block
   chain) vs the kept legacy path (``match_degree_matrix_legacy`` + full
   argmax sweep), orders asserted identical;
-* ``ipc_bytes`` — the executor's transport: bytes over the worker pipes
-  with the shared-memory arena on vs off, results asserted identical;
 * ``fused_map_insert`` — the batch-vectorized Algorithm 2 hash-table
   insert (vs the exact per-operation oracle);
 * ``neighbor_sampling`` — k-hop uniform sampling with the fused ID map;
@@ -64,10 +62,6 @@ SIZES = {
     "reorder_blocked": {
         "small": {"batches": 48, "nodes": 1024, "id_space": 50_000},
         "medium": {"batches": 256, "nodes": 4096, "id_space": 200_000},
-    },
-    "ipc_bytes": {
-        "small": {"jobs": 2, "chunks": 4, "rows": 512, "dim": 64},
-        "medium": {"jobs": 4, "chunks": 8, "rows": 2048, "dim": 128},
     },
     "fused_map_insert": {
         "small": {"num_ids": 20_000, "id_space": 60_000},
@@ -197,75 +191,6 @@ def bench_reorder_blocked(size: str, repeats: int, seed: int) -> dict:
             "speedup_vs_legacy": min(legacy_times) / min(times),
         }
     return _record("reorder_blocked", size, params, times, work, reference)
-
-
-def bench_ipc_bytes(size: str, repeats: int, seed: int) -> dict:
-    """Executor transport bytes: the same ndarray-heavy result payloads
-    shipped through pickled pipes vs the shared-memory arena.
-
-    The byte counts are arithmetic over deterministic payloads, not
-    timings, so ``ipc_reduction`` (pipe bytes without the arena / pipe
-    bytes with it) is machine-independent; the baseline keeps a >= 10x
-    floor under it. Identical results across transports are asserted
-    here and conformance-pinned in the test suite. Timings record the
-    arena run (best); the pipe run's wall clock is reported as
-    ``pipes_s`` but never gated (transport wall-clock is noise-bound at
-    these payload sizes — the bytes are the deliverable)."""
-    from repro.parallel import ParallelExecutor, fork_available
-
-    params = SIZES["ipc_bytes"][size]
-    rows, dim = params["rows"], params["dim"]
-
-    def task(index):
-        rng = np.random.default_rng(seed * 1000 + index)
-        return {
-            "features": rng.standard_normal((rows, dim)).astype(np.float32),
-            "ids": rng.integers(0, 1 << 40, rows),
-            "loss": float(rng.random()),
-        }
-
-    def checksum(results):
-        total = 0.0
-        for record in results:
-            total += float(record["features"].sum())
-            total += float(record["ids"].sum() % (1 << 31))
-            total += record["loss"]
-        return round(total, 3)
-
-    def run(use_arena):
-        executor = ParallelExecutor(jobs=params["jobs"],
-                                    use_arena=use_arena)
-        last: list = []
-
-        def once():
-            last[:] = [executor.map(task, range(params["chunks"]))]
-
-        durations = _time(once, repeats)
-        return durations, last[0], executor.last_transport
-
-    serial = ParallelExecutor(jobs=1).map(task, range(params["chunks"]))
-    work = {
-        "chunks": params["chunks"],
-        "payload_checksum": checksum(serial),
-    }
-    reference = None
-    if fork_available():
-        pipe_times, pipe_results, pipe_stats = run(use_arena=False)
-        arena_times, arena_results, arena_stats = run(use_arena=True)
-        for got in (pipe_results, arena_results):
-            if checksum(got) != work["payload_checksum"]:
-                raise AssertionError("transport changed task results")
-        work["pipe_ipc_bytes"] = pipe_stats.ipc_bytes
-        work["arena_ipc_bytes"] = arena_stats.ipc_bytes
-        work["arena_shm_bytes"] = arena_stats.shm_bytes
-        work["ipc_reduction"] = round(
-            pipe_stats.ipc_bytes / max(arena_stats.ipc_bytes, 1), 2)
-        times = arena_times
-        reference = {"pipes_s": min(pipe_times)}
-    else:  # pragma: no cover - non-fork platforms time the serial path
-        times = _time(lambda: ParallelExecutor(jobs=1).map(
-            task, range(params["chunks"])), repeats)
-    return _record("ipc_bytes", size, params, times, work, reference)
 
 
 def bench_fused_map_insert(size: str, repeats: int, seed: int) -> dict:
@@ -439,7 +364,6 @@ def bench_greedy_partition(size: str, repeats: int, seed: int) -> dict:
 KERNELS = {
     "match_degree_matrix": bench_match_degree_matrix,
     "reorder_blocked": bench_reorder_blocked,
-    "ipc_bytes": bench_ipc_bytes,
     "fused_map_insert": bench_fused_map_insert,
     "neighbor_sampling": bench_neighbor_sampling,
     "feature_gather": bench_feature_gather,
@@ -453,10 +377,10 @@ def run_bench(kernels=None, quick: bool = False, medium: bool = False,
     """Run the selected kernels; returns the BENCH document.
 
     Size tiers nest: ``quick`` runs ``small`` only, ``medium`` adds the
-    ``medium`` sizes (the acceptance sizes of the blocked-reorder and
-    IPC-bytes gates — 256 batches x 4k nodes — kept cheap enough for
-    CI), the default runs everything a kernel defines. Kernels without a
-    given tier are simply skipped at it.
+    ``medium`` sizes (the acceptance size of the blocked-reorder gate —
+    256 batches x 4k nodes — kept cheap enough for CI), the default
+    runs everything a kernel defines. Kernels without a given tier are
+    simply skipped at it.
     """
     names = list(kernels) if kernels else list(KERNELS)
     if quick:

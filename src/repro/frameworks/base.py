@@ -566,8 +566,7 @@ class Framework:
         ):
             lane_jobs = 1
         lane_executor = ParallelExecutor(jobs=lane_jobs)
-        transport_totals = {"mode": "serial", "ipc_bytes": 0,
-                            "shm_bytes": 0, "spilled_bytes": 0}
+        transport_totals = {"mode": "serial", "ipc_bytes": 0}
 
         for epoch in range(max(1, config.num_epochs)):
             batches = plan.batches(
@@ -608,8 +607,6 @@ class Framework:
             transport = lane_executor.last_transport
             transport_totals["mode"] = transport.mode
             transport_totals["ipc_bytes"] += transport.ipc_bytes
-            transport_totals["shm_bytes"] += transport.shm_bytes
-            transport_totals["spilled_bytes"] += transport.spilled_bytes
 
             per_trainer_rounds: list = []  # per trainer: PHASES seconds
             per_trainer_retries: list = []  # per trainer: (count, seconds)
@@ -729,7 +726,7 @@ class Framework:
                   "timeline": timeline,
                   # Transport-layer accounting of the lane executor
                   # (zero in serial mode). Like the matching obs
-                  # counters, this is jobs/arena-dependent diagnostics —
+                  # counter, this is jobs-dependent diagnostics —
                   # conformance comparisons strip it.
                   "parallel_transport": transport_totals}
         if pipeline_log:

@@ -351,15 +351,6 @@ SPEEDUP_FLOOR_FRACTION = 0.4
 def bench_entry(name: str, value: float) -> dict | None:
     """The bench baseline rule: exact work counters and speedup floors.
     Absolute seconds are never gated."""
-    if name.endswith("work.ipc_reduction"):
-        # The zero-copy transport gate: byte arithmetic, not wall clock,
-        # but pickle framing can shift a little across Python versions,
-        # so it gets a floor (never below the accepted 10x).
-        return {"min": round(max(10.0, value * SPEEDUP_FLOOR_FRACTION), 2)}
-    if ":work." in name and name.endswith("_bytes"):
-        # Raw transport byte counts drift with pickle framing; the gated
-        # quantity is the reduction above.
-        return None
     if ":work." in name:
         return {"value": value}
     if ":speedup_vs_" in name:

@@ -18,20 +18,20 @@ class Module:
         declaration order (stable for optimizer state)."""
         params: list = []
         seen: set = set()
-
-        def collect(obj) -> None:
+        # An explicit stack (children pushed in reverse, so they pop in
+        # declaration order): a recursive closure would reference itself
+        # and leave a reference cycle behind on every call.
+        stack: list = [self]
+        while stack:
+            obj = stack.pop()
             if isinstance(obj, Tensor):
                 if obj.requires_grad and id(obj) not in seen:
                     seen.add(id(obj))
                     params.append(obj)
             elif isinstance(obj, Module):
-                for value in vars(obj).values():
-                    collect(value)
+                stack.extend(reversed(list(vars(obj).values())))
             elif isinstance(obj, (list, tuple)):
-                for item in obj:
-                    collect(item)
-
-        collect(self)
+                stack.extend(reversed(obj))
         return params
 
     def zero_grad(self) -> None:

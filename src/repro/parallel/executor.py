@@ -23,24 +23,14 @@ How jobs-independence is achieved:
   chunk protocol, so ``jobs=1`` and ``jobs=N`` fold identical
   floating-point sums in identical order.
 
-Result transport is zero-copy by default: the parent maps a
-:class:`~repro.parallel.shm.SharedArena` before forking and gives every
-worker slot a private slab; workers move large result ndarrays into
-their slab and send only ``(offset, shape, dtype)`` descriptors — plus
-tiny control tuples — through the crash-safe pipes. The parent copies
-arrays out of the arena the moment a result is received (before the
-worker can be handed its next chunk), so slab reuse can never alias a
-returned result and the transport stays bit-identical to plain pickled
-pipes and to the serial path. ``REPRO_PARALLEL_ARENA=0`` (or
-``use_arena=False``) restores the pure-pipe transport. Either way the
-parent counts every byte: ``repro_parallel_ipc_bytes_total`` (pipe
-traffic, including spilled arrays and metric snapshots) and
-``repro_parallel_shm_bytes_total`` (bytes that moved via the arena
-instead), also exposed per-map on :attr:`ParallelExecutor.last_transport`.
-These transport counters are the one deliberate exception to the
-jobs-determinism contract — they measure the transport itself, so they
-are zero under the serial fallback; comparisons across job counts strip
-them with :func:`strip_transport_metrics`.
+Results travel as pickled bytes over each worker's own pipe; lane
+records and experiment results are a few KB of control data. The parent
+counts every byte in ``repro_parallel_ipc_bytes_total`` (task indices,
+results and metric snapshots), also exposed per-map on
+:attr:`ParallelExecutor.last_transport`. That counter is the one
+deliberate exception to the jobs-determinism contract — it measures the
+transport itself, so it is zero under the serial fallback; comparisons
+across job counts strip it with :func:`strip_transport_metrics`.
 
 The serial fallback engages when ``jobs <= 1``, when the platform lacks
 the ``fork`` start method (the executor never pickles the task
@@ -63,13 +53,6 @@ from repro.errors import ParallelTaskError, WorkerCrashError
 from repro.faults import get_fault_plan
 from repro.obs.exporters import to_snapshot
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
-from repro.parallel.shm import (
-    DEFAULT_SLAB_BYTES,
-    SharedArena,
-    arena_enabled_default,
-    swizzle,
-    unswizzle,
-)
 
 #: Exit code an injected worker crash dies with (keeps real segfaults,
 #: which report negative signal codes, distinguishable in logs).
@@ -82,16 +65,13 @@ _LIVENESS_POLL_S = 0.05
 #: Metric names that measure the transport layer itself. They are the
 #: deliberate exception to jobs-determinism (serial runs move zero IPC
 #: bytes); strip them before comparing metrics across job counts.
-TRANSPORT_METRICS = (
-    "repro_parallel_ipc_bytes_total",
-    "repro_parallel_shm_bytes_total",
-)
+TRANSPORT_METRICS = ("repro_parallel_ipc_bytes_total",)
 
 
 def strip_transport_metrics(flat: dict) -> dict:
     """A copy of a flat metrics mapping without the transport counters
     (:data:`TRANSPORT_METRICS`) — the keys that legitimately differ
-    between job counts and transports."""
+    between job counts."""
     return {
         key: value for key, value in flat.items()
         if not any(key.startswith(name) for name in TRANSPORT_METRICS)
@@ -102,16 +82,12 @@ def strip_transport_metrics(flat: dict) -> dict:
 class TransportStats:
     """What one ``map`` call moved, and how.
 
-    ``mode`` is ``serial`` (no transport), ``pipes`` (pickle over the
-    worker pipes) or ``arena`` (descriptors over the pipes, bytes via
-    shared memory). ``spilled_bytes`` counts arrays that fell back to
-    the pipe because a slab was full.
+    ``mode`` is ``serial`` (no transport) or ``pipes`` (pickle over the
+    worker pipes); ``ipc_bytes`` counts every byte on those pipes.
     """
 
     mode: str = "serial"
     ipc_bytes: int = 0
-    shm_bytes: int = 0
-    spilled_bytes: int = 0
 
 
 def fork_available() -> bool:
@@ -191,18 +167,10 @@ class ParallelExecutor:
     default ``chunk_size=1`` maximizes load balance and makes the
     metric fold order exactly the task order; raise it when per-task
     work is tiny relative to queue overhead.
-
-    ``use_arena`` picks the result transport: ``None`` (default)
-    follows ``REPRO_PARALLEL_ARENA`` (on unless set to ``0``/``off``),
-    ``True``/``False`` force it. ``arena_bytes`` sizes the whole arena
-    (split evenly into per-worker slabs; default 8 MiB per worker).
-    The transport never changes results — arrays too large for a slab
-    spill to the pipe, and the serial fallback bypasses it entirely.
     """
 
     def __init__(self, jobs: int | None = 1, chunk_size: int = 1,
-                 max_crashes: int = 2, use_arena: bool | None = None,
-                 arena_bytes: int | None = None) -> None:
+                 max_crashes: int = 2) -> None:
         self.jobs = resolve_jobs(jobs)
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
@@ -212,9 +180,6 @@ class ParallelExecutor:
         #: Times one chunk may lose its worker before
         #: :class:`~repro.errors.WorkerCrashError` is raised.
         self.max_crashes = int(max_crashes)
-        self.use_arena = (arena_enabled_default() if use_arena is None
-                          else bool(use_arena))
-        self.arena_bytes = arena_bytes
         #: Transport accounting of the most recent :meth:`map` call.
         self.last_transport = TransportStats()
 
@@ -249,19 +214,12 @@ class ParallelExecutor:
         else:
             outcomes = self._map_forked(fn, chunks, seed, obs_enabled,
                                         workers)
-            stats = self.last_transport
             if registry.enabled:
                 registry.counter(
                     "repro_parallel_ipc_bytes_total",
-                    "Bytes moved through executor pipes (control "
-                    "messages, descriptors, spilled payloads)",
-                ).inc(stats.ipc_bytes)
-                if stats.mode == "arena":
-                    registry.counter(
-                        "repro_parallel_shm_bytes_total",
-                        "Result bytes moved via the shared-memory arena "
-                        "instead of the pipes",
-                    ).inc(stats.shm_bytes)
+                    "Bytes moved through executor pipes (task indices, "
+                    "results, metric snapshots)",
+                ).inc(self.last_transport.ipc_bytes)
         results: list = []
         for values, snapshot in outcomes:
             results.extend(values)
@@ -285,34 +243,14 @@ class ParallelExecutor:
         after which :class:`~repro.errors.WorkerCrashError` raises.
         Chunks are pure functions of ``(chunk_index, seed)``, so a re-run
         is bit-identical to the run that was lost.
-
-        The same per-slot isolation makes the arena transport
-        crash-safe: slabs are pre-partitioned per worker slot (no
-        cross-process allocation lock to die holding), a replacement
-        worker inherits its slot's slab, and the parent copies results
-        out of the arena *before* the owning slot can be handed its next
-        chunk — so a worker dying mid-write can only ever scribble on
-        slab bytes nobody has read.
         """
         ctx = mp.get_context("fork")
         chunk_size = self.chunk_size
         fault_plan = get_fault_plan()
         stats = self.last_transport
-        arena = None
-        allocators: list = []
-        if self.use_arena:
-            total = self.arena_bytes or workers * DEFAULT_SLAB_BYTES
-            slab = max(int(total) // workers, 1 << 16)
-            try:
-                arena = SharedArena(slab * workers)
-            except OSError:  # no usable shm backing: stay on pipes
-                arena = None
-            else:
-                allocators = [arena.allocator(i * slab, slab)
-                              for i in range(workers)]
-        stats.mode = "arena" if arena is not None else "pipes"
+        stats.mode = "pipes"
 
-        def worker_loop(inbox, conn, allocator) -> None:
+        def worker_loop(inbox, conn) -> None:
             while True:
                 message = inbox.get()
                 if message is None:
@@ -329,32 +267,25 @@ class ParallelExecutor:
                         fn, chunks[chunk_index], chunk_index * chunk_size,
                         seed, obs_enabled,
                     )
-                    body = (values, snapshot)
-                    moved = spilled = 0
-                    if allocator is not None:
-                        allocator.reset()
-                        body, moved, spilled = swizzle(body, allocator)
                     conn.send_bytes(_dumps(
-                        (chunk_index, "ok", body, moved, spilled)))
+                        (chunk_index, "ok", (values, snapshot))))
                 except ParallelTaskError as exc:
                     conn.send_bytes(_dumps((
                         chunk_index, "error",
                         (exc.task_index, exc.seed, str(exc.__cause__),
-                         traceback.format_exc()), 0, 0,
+                         traceback.format_exc()),
                     )))
                 except BaseException as exc:  # noqa: BLE001 - re-raised
                     conn.send_bytes(_dumps((
                         chunk_index, "error",
                         (chunk_index * chunk_size, seed, repr(exc),
-                         traceback.format_exc()), 0, 0,
+                         traceback.format_exc()),
                     )))
 
-        def spawn(slot):
+        def spawn():
             inbox = ctx.SimpleQueue()
             reader, writer = ctx.Pipe(duplex=False)
-            allocator = allocators[slot] if arena is not None else None
-            proc = ctx.Process(target=worker_loop,
-                               args=(inbox, writer, allocator),
+            proc = ctx.Process(target=worker_loop, args=(inbox, writer),
                                daemon=True)
             proc.start()
             # Close the parent's copy immediately: the worker now holds
@@ -363,9 +294,9 @@ class ParallelExecutor:
             # would mask it.
             writer.close()
             return {"proc": proc, "inbox": inbox, "reader": reader,
-                    "slot": slot, "chunk": None, "attempt": 0}
+                    "chunk": None, "attempt": 0}
 
-        pool = [spawn(slot) for slot in range(workers)]
+        pool = [spawn() for _ in range(workers)]
         pending = list(range(len(chunks) - 1, -1, -1))  # pop() -> in order
         attempts = [0] * len(chunks)
         outcomes: list = [None] * len(chunks)
@@ -395,8 +326,7 @@ class ParallelExecutor:
                         crashed = True
                         continue
                     stats.ipc_bytes += len(data)
-                    chunk_index, status, payload, moved, spilled = \
-                        pickle.loads(data)
+                    chunk_index, status, payload = pickle.loads(data)
                     if status == "error":
                         task_index, task_seed, cause, worker_tb = payload
                         raise ParallelTaskError(
@@ -404,14 +334,6 @@ class ParallelExecutor:
                             worker_traceback=worker_tb)
                     state["chunk"] = None
                     if outcomes[chunk_index] is None:
-                        # Copy descriptors out of the arena *now*: this
-                        # worker's slab is reused the moment it gets its
-                        # next chunk, which can only happen after this
-                        # loop iteration.
-                        if arena is not None:
-                            payload = unswizzle(payload, arena, copy=True)
-                            stats.shm_bytes += moved
-                            stats.spilled_bytes += spilled
                         outcomes[chunk_index] = payload
                         completed += 1
                 if crashed:
@@ -429,8 +351,6 @@ class ParallelExecutor:
                     state["proc"].join()
                 if not state["reader"].closed:
                     state["reader"].close()
-            if arena is not None:
-                arena.close()
         return outcomes
 
     def _reap_crashed(self, pool, pending, attempts, fault_plan,
@@ -445,7 +365,7 @@ class ParallelExecutor:
             state["proc"].join()
             if not state["reader"].closed:
                 state["reader"].close()
-            pool[slot] = spawn(state["slot"])
+            pool[slot] = spawn()
             chunk_index = state["chunk"]
             if chunk_index is None:
                 continue
@@ -468,11 +388,8 @@ class ParallelExecutor:
 
 def parallel_map(fn, items, jobs: int | None = 1, chunk_size: int = 1,
                  seed: int | None = None, merge_obs: bool = True,
-                 max_crashes: int = 2, use_arena: bool | None = None,
-                 arena_bytes: int | None = None) -> list:
+                 max_crashes: int = 2) -> list:
     """One-shot convenience wrapper around :class:`ParallelExecutor`."""
     executor = ParallelExecutor(jobs=jobs, chunk_size=chunk_size,
-                                max_crashes=max_crashes,
-                                use_arena=use_arena,
-                                arena_bytes=arena_bytes)
+                                max_crashes=max_crashes)
     return executor.map(fn, items, seed=seed, merge_obs=merge_obs)

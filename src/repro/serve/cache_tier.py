@@ -9,12 +9,11 @@ cost); a row found **stale** counts separately — it must be re-fetched,
 which is exactly the consistency price a TTL cache pays for embeddings
 that retrain underneath it.
 
-The row index lives in ordinary process memory; the row *payload* lives
-in a :class:`repro.parallel.shm.SharedArena` slab (one slot per cached
-row) when shared memory is available, with a plain ``numpy`` slab as
-the fallback — same observable behavior either way, which the tests
-pin. Eviction is deterministic FIFO by insertion order (slot reuse in
-arrival order), so fleet runs replay bit-identically.
+The row index and the row *payload* (a ``numpy`` slab, one slot per
+cached row) live in ordinary process memory: the fleet's replicas share
+one event loop in one process. Eviction is deterministic FIFO by
+insertion order (slot reuse in arrival order), so fleet runs replay
+bit-identically.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class CacheTierStats:
 
 
 class CacheTier:
-    """Shared-memory embedding row cache with TTL freshness.
+    """Fleet-shared embedding row cache with TTL freshness.
 
     ``lookup(nodes, now)`` partitions the requested rows into
     ``(fresh_hits, stale, misses)``; ``insert(nodes, now)`` (re)fills
@@ -81,7 +80,7 @@ class CacheTier:
     lookup is a few vectorized masks. Node IDs must be non-negative.
     """
 
-    def __init__(self, config: CacheTierConfig, arena=None) -> None:
+    def __init__(self, config: CacheTierConfig) -> None:
         self.config = config
         self.stats = CacheTierStats()
         capacity = config.capacity_rows
@@ -97,36 +96,13 @@ class CacheTier:
         self._fifo: deque = deque()
         #: Slots are handed out in order and never freed, only reused.
         self._used = 0
-        self._owns_arena = False
-        nbytes = capacity * config.row_bytes
-        if arena is None:
-            arena = self._try_arena(nbytes)
-            self._owns_arena = arena is not None
-        self._arena = arena
-        if self._arena is None:
-            # Fallback slab: same shape/behavior, private memory.
-            self._slab = np.zeros(nbytes, dtype=np.uint8)
-
-    @staticmethod
-    def _try_arena(nbytes: int):
-        try:
-            from repro.parallel.shm import SharedArena
-            return SharedArena(nbytes=nbytes)
-        except Exception:  # /dev/shm unavailable, size limits, ...
-            return None
-
-    @property
-    def backed_by_shm(self) -> bool:
-        return self._arena is not None
+        self._slab = np.zeros(capacity * config.row_bytes, dtype=np.uint8)
 
     def __len__(self) -> int:
         return self._used
 
     def _row(self, slot: int) -> np.ndarray:
         offset = slot * self.config.row_bytes
-        if self._arena is not None:
-            return np.ndarray((self.config.row_bytes,), dtype=np.uint8,
-                              buffer=self._arena.buf, offset=offset)
         return self._slab[offset:offset + self.config.row_bytes]
 
     def lookup(self, nodes: np.ndarray, now: float):
@@ -216,16 +192,3 @@ class CacheTier:
         order = np.argsort(self._stamp_of[:self._used])
         self._fifo = deque(zip(self._stamp_of[order].tolist(),
                                order.tolist()))
-
-    def close(self) -> None:
-        """Release the arena segment (idempotent; owning tiers only)."""
-        if self._owns_arena and self._arena is not None:
-            self._arena.close()
-            self._arena = None
-            self._slab = np.zeros(0, dtype=np.uint8)
-
-    def __enter__(self) -> "CacheTier":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

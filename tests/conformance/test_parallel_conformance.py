@@ -1,14 +1,12 @@
-"""Transport conformance: ``jobs`` and the arena are throughput knobs.
+"""Transport conformance: ``jobs`` is a throughput knob.
 
-Every registered framework runs the same seeded epoch three ways —
-serial (``jobs=1``), forked over pipes (``jobs=2``, arena disabled via
-:data:`repro.parallel.ARENA_ENV_VAR`), and forked over the shared-memory
-arena (``jobs=2``, arena on) — and all three must agree bit for bit on
-everything the model and the cost model can observe: per-batch losses,
-modeled epoch time and phase breakdown, the iteration log, and the
-final parameters.
+Every registered framework runs the same seeded epoch twice — serial
+(``jobs=1``) and forked over the worker pipes (``jobs=2``) — and both
+must agree bit for bit on everything the model and the cost model can
+observe: per-batch losses, modeled epoch time and phase breakdown, the
+iteration log, and the final parameters.
 
-The *only* admissible differences are the transport byte counters
+The *only* admissible differences are the transport byte counter
 (:data:`repro.parallel.TRANSPORT_METRICS`) and the ``parallel_transport``
 extras entry — physical bookkeeping of how results moved between
 processes, explicitly excluded from the determinism contract.
@@ -22,7 +20,7 @@ import pytest
 from repro.config import RunConfig
 from repro.frameworks import create
 from repro.frameworks.registry import available_frameworks
-from repro.parallel import ARENA_ENV_VAR, fork_available
+from repro.parallel import fork_available
 from repro.pipeline import ExecutionSpec
 
 needs_fork = pytest.mark.skipif(not fork_available(),
@@ -40,11 +38,7 @@ def _run_config() -> RunConfig:
     )
 
 
-def _run(name, dataset, jobs: int, arena: bool, monkeypatch):
-    if arena:
-        monkeypatch.delenv(ARENA_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(ARENA_ENV_VAR, "off")
+def _run(name, dataset, jobs: int):
     return create(name).run_epoch(dataset, _run_config(),
                                   execution=ExecutionSpec(jobs=jobs))
 
@@ -69,25 +63,18 @@ def _assert_reports_identical(baseline, candidate):
 @needs_fork
 @pytest.mark.parametrize("name", available_frameworks())
 class TestTransportConformance:
-    def test_jobs_and_arena_are_bit_identical(self, name,
-                                              conformance_dataset,
-                                              monkeypatch):
-        serial = _run(name, conformance_dataset, jobs=1, arena=True,
-                      monkeypatch=monkeypatch)
-        pipes = _run(name, conformance_dataset, jobs=2, arena=False,
-                     monkeypatch=monkeypatch)
-        arena = _run(name, conformance_dataset, jobs=2, arena=True,
-                     monkeypatch=monkeypatch)
-        _assert_reports_identical(serial, pipes)
-        _assert_reports_identical(serial, arena)
+    def test_jobs_are_bit_identical(self, name, conformance_dataset):
+        serial = _run(name, conformance_dataset, jobs=1)
+        forked = _run(name, conformance_dataset, jobs=2)
+        _assert_reports_identical(serial, forked)
 
-        # The excluded bookkeeping exists and tells the transports
-        # apart: when a framework actually forked its lanes, the mode
-        # and byte counters reflect the transport used. (A framework
-        # with a single lane legitimately stays serial at any ``jobs``.)
-        for report, mode in ((pipes, "pipes"), (arena, "arena")):
-            transport = report.extras.get("parallel_transport")
-            if transport is None or transport["mode"] == "serial":
-                continue
-            assert transport["mode"] == mode
+        # The excluded bookkeeping exists: when a framework actually
+        # forked its lanes, the mode and byte counter say so. (A
+        # framework with a single lane legitimately stays serial at any
+        # ``jobs``.)
+        assert serial.extras["parallel_transport"] == {"mode": "serial",
+                                                       "ipc_bytes": 0}
+        transport = forked.extras["parallel_transport"]
+        if transport["mode"] != "serial":
+            assert transport["mode"] == "pipes"
             assert transport["ipc_bytes"] > 0

@@ -78,22 +78,6 @@ class ReferenceTier:
         return evicted
 
 
-def _payload(tier: CacheTier) -> bytes:
-    if tier.backed_by_shm:
-        nbytes = tier.config.capacity_rows * tier.config.row_bytes
-        return bytes(tier._arena.buf[:nbytes])
-    return tier._slab.tobytes()
-
-
-def _plain_tier(config: CacheTierConfig) -> CacheTier:
-    tier = CacheTier(config)
-    tier.close()
-    tier._arena, tier._owns_arena = None, False
-    tier._slab = np.zeros(config.capacity_rows * config.row_bytes,
-                          dtype=np.uint8)
-    return tier
-
-
 def _ops(max_node: int):
     nodes = st.lists(st.integers(0, max_node), max_size=12)
     return st.lists(
@@ -102,7 +86,6 @@ def _ops(max_node: int):
         min_size=1, max_size=40)
 
 
-@pytest.mark.parametrize("backing", ["shm", "numpy"])
 @settings(max_examples=60, deadline=None)
 @given(
     capacity=st.sampled_from([1, 2, 3, 5, 16]),
@@ -111,46 +94,41 @@ def _ops(max_node: int):
     ops=_ops(max_node=40),
     jump=st.integers(0, 5000),
 )
-def test_tier_matches_ordered_dict_reference(backing, capacity, row_bytes,
-                                             ttl, ops, jump):
+def test_tier_matches_ordered_dict_reference(capacity, row_bytes, ttl, ops,
+                                             jump):
     config = CacheTierConfig(enabled=True, capacity_rows=capacity,
                              row_bytes=row_bytes, ttl_s=ttl)
-    tier = CacheTier(config) if backing == "shm" else _plain_tier(config)
-    reference = ReferenceTier(config)
+    tier, reference = CacheTier(config), ReferenceTier(config)
     now = 0.0
-    try:
-        for step, (op, nodes, dt) in enumerate(ops):
-            now += dt
-            nodes = np.asarray(nodes, dtype=np.int64)
-            if step % 3 == 2:
-                # IDs far past the current ``slot_of`` size.
-                nodes = nodes + jump
-            if op == "lookup":
-                got = tier.lookup(nodes, now)
-                want = reference.lookup(nodes, now)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and g.tolist() == w.tolist()
-            elif op == "insert":
-                assert tier.insert(nodes, now) == reference.insert(nodes, now)
-            else:
-                # The serving path: look up, then refill stale + missed.
-                _, stale, missed = tier.lookup(nodes, now)
-                reference.lookup(nodes, now)
-                refill = np.concatenate([stale, missed])
-                assert (tier.insert(refill, now)
-                        == reference.insert(refill, now))
-            assert tier.stats == reference.stats
-            assert len(tier) == len(reference)
-        assert _payload(tier) == reference.slab.tobytes()
-    finally:
-        tier.close()
+    for step, (op, nodes, dt) in enumerate(ops):
+        now += dt
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if step % 3 == 2:
+            # IDs far past the current ``slot_of`` size.
+            nodes = nodes + jump
+        if op == "lookup":
+            got = tier.lookup(nodes, now)
+            want = reference.lookup(nodes, now)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tolist() == w.tolist()
+        elif op == "insert":
+            assert tier.insert(nodes, now) == reference.insert(nodes, now)
+        else:
+            # The serving path: look up, then refill stale + missed.
+            _, stale, missed = tier.lookup(nodes, now)
+            reference.lookup(nodes, now)
+            refill = np.concatenate([stale, missed])
+            assert tier.insert(refill, now) == reference.insert(refill, now)
+        assert tier.stats == reference.stats
+        assert len(tier) == len(reference)
+    assert tier._slab.tobytes() == reference.slab.tobytes()
 
 
 def test_fifo_survives_compaction():
     """Many refreshes past the FIFO's compaction point keep the order."""
     config = CacheTierConfig(enabled=True, capacity_rows=3, row_bytes=8,
                              ttl_s=0.0)
-    tier, reference = _plain_tier(config), ReferenceTier(config)
+    tier, reference = CacheTier(config), ReferenceTier(config)
     rng = np.random.default_rng(0)
     for step in range(200):
         nodes = rng.integers(0, 6, size=int(rng.integers(1, 5)))
@@ -160,13 +138,13 @@ def test_fifo_survives_compaction():
         want = reference.lookup(np.arange(6), float(step))
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
     assert tier.stats == reference.stats
-    assert _payload(tier) == reference.slab.tobytes()
+    assert tier._slab.tobytes() == reference.slab.tobytes()
 
 
 def test_insert_rejects_negative_ids():
-    with CacheTier(CacheTierConfig(enabled=True, capacity_rows=2)) as tier:
-        with pytest.raises(ValueError, match="non-negative"):
-            tier.insert(np.array([1, -2]), now=0.0)
-        assert len(tier) == 0
-        hits, stale, missed = tier.lookup(np.array([-2, 1]), now=0.0)
-        assert missed.tolist() == [-2, 1]
+    tier = CacheTier(CacheTierConfig(enabled=True, capacity_rows=2))
+    with pytest.raises(ValueError, match="non-negative"):
+        tier.insert(np.array([1, -2]), now=0.0)
+    assert len(tier) == 0
+    hits, stale, missed = tier.lookup(np.array([-2, 1]), now=0.0)
+    assert missed.tolist() == [-2, 1]

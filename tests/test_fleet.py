@@ -123,7 +123,6 @@ def test_cache_tier_ttl_split():
     assert hits.tolist() == [] and stale.tolist() == [1, 2]
     assert tier.stats.hits == 3 and tier.stats.stale == 2
     assert tier.stats.misses == 1
-    tier.close()
 
 
 def test_cache_tier_fifo_eviction_is_deterministic():
@@ -134,23 +133,6 @@ def test_cache_tier_fifo_eviction_is_deterministic():
     assert tier.insert(np.array([30]), now=0.2) == 1  # evicts 10
     hits, _, missed = tier.lookup(np.array([10, 20, 30]), now=0.3)
     assert missed.tolist() == [10] and hits.tolist() == [20, 30]
-    tier.close()
-
-
-def test_cache_tier_shm_and_fallback_agree():
-    cfg = CacheTierConfig(enabled=True, capacity_rows=4, row_bytes=16,
-                          ttl_s=0.5)
-    shm_tier = CacheTier(cfg)
-    plain = CacheTier(cfg, arena=None)
-    plain._arena, plain._owns_arena = None, False
-    plain._slab = np.zeros(cfg.capacity_rows * cfg.row_bytes,
-                           dtype=np.uint8)
-    for tier in (shm_tier, plain):
-        tier.insert(np.array([1, 2, 3, 4, 5]), now=0.0)
-        hits, stale, missed = tier.lookup(np.arange(1, 7), now=0.2)
-    assert shm_tier.stats == plain.stats
-    shm_tier.close()
-    plain.close()
 
 
 # -- hypothesis properties ---------------------------------------------------

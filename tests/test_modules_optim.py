@@ -1,10 +1,29 @@
 """Tests for modules (Linear/MLP) and optimizers."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Linear, MLP, Tensor
+from repro.nn import SGD, Adam, Linear, MLP, Tensor, build_model
 from repro.nn.modules import Module
+
+
+def _recursive_parameters(obj, seen=None) -> list:
+    """Reference walk: depth-first, in attribute declaration order."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, Tensor):
+        if obj.requires_grad and id(obj) not in seen:
+            seen.add(id(obj))
+            return [obj]
+        return []
+    children = ()
+    if isinstance(obj, Module):
+        children = vars(obj).values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    return [p for child in children
+            for p in _recursive_parameters(child, seen)]
 
 
 class TestLinear:
@@ -61,6 +80,35 @@ class TestModule:
         assert not model.inner.training
         model.train()
         assert model.inner.training
+
+    @pytest.mark.parametrize("kind", ["gcn", "gin", "gat"])
+    def test_parameters_leave_no_reference_cycles(self, kind):
+        model = build_model(kind, 6, 3, hidden_dim=8, num_layers=2, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                model.parameters()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind", ["gcn", "gin", "gat"])
+    def test_parameters_order_matches_recursive_walk(self, kind, rng):
+        class Wrapper(Module):
+            def __init__(self):
+                self.model = build_model(kind, 6, 3, hidden_dim=8,
+                                         num_layers=3, seed=1)
+                self.heads = (Linear(3, 2, rng=rng),
+                              [MLP(2, 4, 2, rng=rng), Linear(2, 2, rng=rng)])
+                self.tied = self.heads[0].weight
+
+        for module in (build_model(kind, 6, 3, hidden_dim=8, num_layers=3),
+                       Wrapper()):
+            got = module.parameters()
+            want = _recursive_parameters(module)
+            assert len(got) == len(want) > 0
+            assert all(g is w for g, w in zip(got, want))
 
     def test_zero_grad(self, rng):
         mlp = MLP(3, 4, 2, rng=rng)

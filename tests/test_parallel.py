@@ -66,10 +66,26 @@ class TestExecutor:
         def draw(index, rng):
             return rng.integers(0, 1 << 30, 3).tolist()
 
+        def feature_block(index, rng):
+            # An ndarray-heavy result, like a lane's gathered features.
+            return {"features": rng.standard_normal((64, 32)).astype(
+                        np.float32),
+                    "ids": rng.integers(0, 1 << 40, 64),
+                    "loss": float(rng.random())}
+
         serial = ParallelExecutor(jobs=1).map(draw, range(8), seed=11)
+        blocks = ParallelExecutor(jobs=1).map(feature_block, range(6),
+                                              seed=5)
         if fork_available():
             forked = ParallelExecutor(jobs=3).map(draw, range(8), seed=11)
             assert serial == forked
+            executor = ParallelExecutor(jobs=2)
+            forked = executor.map(feature_block, range(6), seed=5)
+            assert executor.last_transport.mode == "pipes"
+            for got, want in zip(forked, blocks, strict=True):
+                assert got["features"].tobytes() == want["features"].tobytes()
+                assert got["ids"].tobytes() == want["ids"].tobytes()
+                assert got["loss"] == want["loss"]
 
     @needs_fork
     def test_worker_error_propagates(self):

@@ -43,6 +43,12 @@ def _draw(index, rng):
     return rng.integers(0, 1 << 30, 3).tolist()
 
 
+def _feature_block(index, rng):
+    """An ndarray-heavy result: a lane-sized feature block plus IDs."""
+    return {"features": rng.standard_normal((64, 32)).astype(np.float32),
+            "ids": rng.integers(0, 1 << 40, 64)}
+
+
 class TestCrashRecovery:
     @needs_fork
     def test_reassigned_chunks_match_serial(self):
@@ -52,6 +58,16 @@ class TestCrashRecovery:
             # Every chunk lost a worker exactly once and was recomputed.
             assert plan.fired("worker_crash") == 6
         assert forked == serial
+
+        serial = ParallelExecutor(jobs=1).map(_feature_block, range(6),
+                                              seed=3)
+        with fault_scope(_crash_plan()) as plan:
+            forked = ParallelExecutor(jobs=2).map(_feature_block, range(6),
+                                                  seed=3)
+            assert plan.fired("worker_crash") == 6
+        for got, want in zip(forked, serial, strict=True):
+            assert got["features"].tobytes() == want["features"].tobytes()
+            assert got["ids"].tobytes() == want["ids"].tobytes()
 
     @needs_fork
     def test_crash_budget_exhaustion_raises(self):
@@ -128,8 +144,7 @@ class TestEpochChaosDeterminism:
             key for key in chaos_metrics
             if key.startswith(("repro_parallel_worker_crashes_total",
                                "repro_faults_injected_total",
-                               "repro_parallel_ipc_bytes_total",
-                               "repro_parallel_shm_bytes_total"))
+                               "repro_parallel_ipc_bytes_total"))
         }
         trimmed = {key: value for key, value in chaos_metrics.items()
                    if key not in crash_keys}
